@@ -762,33 +762,49 @@ PrefetchScheduler::DrainVerdict PrefetchScheduler::DrainBatch() {
   return DrainVerdict::kDrained;
 }
 
+// The waits below re-look-up the id on every wake-up instead of holding a
+// SessionState reference: a concurrent UnregisterSession of the same id may
+// erase the state while they wait.
+
+PrefetchScheduler::SessionState* PrefetchScheduler::FindLocked(
+    std::uint64_t session_id) const {
+  auto it = sessions_.find(session_id);
+  return it == sessions_.end() ? nullptr : it->second.get();
+}
+
+bool PrefetchScheduler::FillsSettledLocked(std::uint64_t session_id) const {
+  const SessionState* state = FindLocked(session_id);
+  return state == nullptr || state->in_flight == 0;
+}
+
 void PrefetchScheduler::CancelSession(std::uint64_t session_id) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  SessionState& state = *it->second;
-  InvalidateLocked(state, session_id);
-  cv_.wait(lock, [&state] { return state.in_flight == 0; });
+  SessionState* state = FindLocked(session_id);
+  if (state == nullptr) return;
+  InvalidateLocked(*state, session_id);
+  cv_.notify_all();  // wake WaitForSession callers whose keys just retired
+  cv_.wait(lock, [&] { return FillsSettledLocked(session_id); });
 }
 
 void PrefetchScheduler::UnregisterSession(std::uint64_t session_id) {
   std::unique_lock<std::mutex> lock(mu_);
+  SessionState* state = FindLocked(session_id);
+  if (state == nullptr) return;
+  state->unregistering = true;  // in-flight fills skip delivery from now on
+  InvalidateLocked(*state, session_id);
+  cv_.notify_all();  // wake WaitForSession callers whose keys just retired
+  cv_.wait(lock, [&] { return FillsSettledLocked(session_id); });
+  // Erase only a state that is being unregistered: if a concurrent call
+  // already erased ours, the id may since belong to a fresh registration.
   auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  SessionState& state = *it->second;
-  state.unregistering = true;  // in-flight fills skip delivery from now on
-  InvalidateLocked(state, session_id);
-  cv_.wait(lock, [&state] { return state.in_flight == 0; });
-  sessions_.erase(session_id);
+  if (it != sessions_.end() && it->second->unregistering) sessions_.erase(it);
 }
 
 void PrefetchScheduler::WaitForSession(std::uint64_t session_id) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  SessionState& state = *it->second;
-  cv_.wait(lock, [&state] {
-    return state.pending_keys.empty() && state.in_flight == 0;
+  cv_.wait(lock, [&] {
+    const SessionState* s = FindLocked(session_id);
+    return s == nullptr || (s->pending_keys.empty() && s->in_flight == 0);
   });
 }
 
@@ -809,8 +825,8 @@ void PrefetchScheduler::Shutdown() {
   heap_ = {};
   deadline_heap_ = {};
   FC_CHECK_MSG(pending_.empty(), "pending entry with no live subscription");
-  // Wake WaitForSession callers whose subscriptions were just retired —
-  // this is the only site that invalidates on behalf of OTHER sessions.
+  // Wake WaitForSession callers whose subscriptions were just retired (as
+  // Cancel/UnregisterSession do for their own session).
   cv_.notify_all();
   cv_.wait(lock, [this] { return workers_ == 0 && in_flight_fills_ == 0; });
 }

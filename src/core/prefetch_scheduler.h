@@ -509,6 +509,14 @@ class PrefetchScheduler {
   /// mu_.
   void InvalidateLocked(SessionState& state, std::uint64_t session_id);
 
+  /// The registered state of `session_id` (unregistering or not), or
+  /// null. Waits call this after every wake-up. Caller holds mu_.
+  SessionState* FindLocked(std::uint64_t session_id) const;
+
+  /// True when `session_id` has no fill in flight (or is gone). Caller
+  /// holds mu_.
+  bool FillsSettledLocked(std::uint64_t session_id) const;
+
   /// Tops up executor drain workers (never beyond max_in_flight or the
   /// number of pending entries). Caller holds mu_.
   void SpawnWorkersLocked();

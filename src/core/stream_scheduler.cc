@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 namespace fc::core {
@@ -18,6 +19,27 @@ bool BetterJob(bool a_usable, double a_util, std::uint64_t a_seq,
   return a_seq < b_seq;
 }
 
+/// The split memo is first swept once it holds this many entries.
+constexpr std::size_t kMinMemoSweep = 64;
+
+/// Same key, shape, attributes and cell bits.
+bool BitIdentical(const tiles::Tile& a, const tiles::Tile& b) {
+  if (!(a.key() == b.key()) || a.width() != b.width() ||
+      a.height() != b.height() || a.attr_names() != b.attr_names()) {
+    return false;
+  }
+  for (std::size_t attr = 0; attr < a.num_attrs(); ++attr) {
+    const std::vector<double>& x = a.AttrData(attr);
+    const std::vector<double>& y = b.AttrData(attr);
+    if (x.size() != y.size() ||
+        (!x.empty() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) != 0)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 StreamScheduler::StreamScheduler(Executor* executor,
@@ -27,6 +49,7 @@ StreamScheduler::StreamScheduler(Executor* executor,
   options_.fairness_share =
       std::clamp(options_.fairness_share, 0.0, 1.0);
   total_tokens_ = static_cast<double>(options_.total_burst_bytes);
+  memo_sweep_at_ = kMinMemoSweep;
   if (options_.metrics != nullptr) {
     ttfu_us_ = options_.metrics->GetHistogram("fc.stream.ttfu_us");
   }
@@ -50,12 +73,18 @@ std::uint64_t StreamScheduler::RegisterSession(std::uint64_t session_id,
   return session_id;
 }
 
-void StreamScheduler::UnregisterSession(std::uint64_t session_id) {
-  std::unique_lock<std::mutex> lock(mu_);
+StreamScheduler::SessionState* StreamScheduler::FindLocked(
+    std::uint64_t session_id) const {
   auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  SessionState* state = it->second.get();
-  state->unregistering = true;
+  return it == sessions_.end() ? nullptr : it->second.get();
+}
+
+bool StreamScheduler::PushesSettledLocked(std::uint64_t session_id) const {
+  const SessionState* state = FindLocked(session_id);
+  return state == nullptr || state->in_flight == 0;
+}
+
+void StreamScheduler::DropSessionLocked(std::uint64_t session_id) {
   for (auto job = jobs_.begin(); job != jobs_.end();) {
     if (job->session_id == session_id) {
       job = DropLocked(job, &stats_.stale_chunks_dropped);
@@ -63,23 +92,47 @@ void StreamScheduler::UnregisterSession(std::uint64_t session_id) {
       ++job;
     }
   }
-  cv_.wait(lock, [&] { return state->in_flight == 0; });
-  sessions_.erase(session_id);
+}
+
+void StreamScheduler::UnregisterSession(std::uint64_t session_id) {
+  std::unique_lock<std::mutex> lock(mu_);
+  SessionState* state = FindLocked(session_id);
+  if (state == nullptr) return;
+  state->unregistering = true;
+  DropSessionLocked(session_id);
+  // The predicate re-looks-up the id: a concurrent UnregisterSession of the
+  // same id may erase the state while this call waits.
+  cv_.wait(lock, [&] { return PushesSettledLocked(session_id); });
+  // Erase only a state that is being unregistered: if a concurrent call
+  // already erased ours, the id may since belong to a fresh registration.
+  auto it = sessions_.find(session_id);
+  if (it != sessions_.end() && it->second->unregistering) sessions_.erase(it);
 }
 
 void StreamScheduler::CancelSession(std::uint64_t session_id) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  SessionState* state = it->second.get();
-  for (auto job = jobs_.begin(); job != jobs_.end();) {
-    if (job->session_id == session_id) {
-      job = DropLocked(job, &stats_.stale_chunks_dropped);
-    } else {
-      ++job;
-    }
+  if (FindLocked(session_id) == nullptr) return;
+  DropSessionLocked(session_id);
+  cv_.wait(lock, [&] { return PushesSettledLocked(session_id); });
+}
+
+void StreamScheduler::WaitForSession(std::uint64_t session_id) {
+  for (;;) {
+    Flush();
+    std::unique_lock<std::mutex> lock(mu_);
+    // The self-pump may hold chunks of this session that Flush() could not
+    // see; wait until they have landed.
+    cv_.wait(lock, [&] { return PushesSettledLocked(session_id); });
+    const SessionState* state = FindLocked(session_id);
+    if (state == nullptr) return;
+    // A base landing unlocks its refinement: go round again while any of
+    // the session's queued chunks is eligible now.
+    const bool eligible =
+        std::any_of(jobs_.begin(), jobs_.end(), [&](const ChunkJob& job) {
+          return job.session_id == session_id && EligibleLocked(job, *state);
+        });
+    if (!eligible) return;
   }
-  cv_.wait(lock, [&] { return state->in_flight == 0; });
 }
 
 void StreamScheduler::CancelStaleGenerations(std::uint64_t session_id,
@@ -106,56 +159,21 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
                                  double deadline_ms, std::uint64_t trace_id) {
   if (tile == nullptr) return;
 
-  // Encode before the lock: splitting the tile is the CPU-heavy part.
+  // Split before the lock: on a memo miss this is the CPU-heavy part.
   // The usable chunk's rank divides by the ALL-OR-NOTHING payload size in
   // both modes, so the progressive schedule visits tiles in exactly the
   // order the all-or-nothing one would (see header notes).
-  const std::string full = codec_.Encode(*tile);
+  bool built = false;
+  const Split split = SplitFor(tile, &built);
   const double usable_rank = options_.base_utility_weight *
                              std::max(confidence, 0.0) /
-                             static_cast<double>(full.size());
-
-  tiles::TilePtr usable_payload;
-  tiles::TilePtr exact_payload;
-  std::size_t usable_bytes = 0;
-  std::size_t refine_bytes = 0;
-  bool usable_is_exact = true;
-  if (options_.progressive) {
-    storage::ProgressiveEncoding prog = codec_.EncodeProgressive(*tile);
-    auto reassembled = storage::TileCodec::Reassemble(prog.base,
-                                                      prog.refinement);
-    auto base_only = storage::TileCodec::Decode(prog.base);
-    if (reassembled.ok() && base_only.ok()) {
-      usable_bytes = prog.base.size();
-      refine_bytes = prog.refinement.size();
-      usable_is_exact = prog.refinement.empty();
-      usable_payload = std::make_shared<const tiles::Tile>(
-          usable_is_exact ? std::move(reassembled).value()
-                          : std::move(base_only).value());
-      if (!usable_is_exact) {
-        exact_payload = std::make_shared<const tiles::Tile>(
-            std::move(reassembled).value());
-      }
-    }
-  }
-  if (usable_payload == nullptr) {
-    // All-or-nothing mode — or a defensive fallback if the progressive
-    // pair failed to validate: one exact chunk carrying what a client
-    // decodes from the full blob.
-    auto decoded = storage::TileCodec::Decode(full);
-    usable_payload =
-        decoded.ok()
-            ? std::make_shared<const tiles::Tile>(std::move(decoded).value())
-            : tile;
-    usable_bytes = full.size();
-    refine_bytes = 0;
-    usable_is_exact = true;
-  }
+                             static_cast<double>(split.full_bytes);
 
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (shutdown_ || it == sessions_.end() || it->second->unregistering) {
-    stats_.stale_chunks_dropped += usable_is_exact ? 1 : 2;
+  if (built) ++stats_.splits_built;
+  SessionState* state = FindLocked(session_id);
+  if (shutdown_ || state == nullptr || state->unregistering) {
+    stats_.stale_chunks_dropped += split.usable_is_exact ? 1 : 2;
     return;
   }
   const double now = options_.clock != nullptr ? options_.clock->NowMillis()
@@ -166,19 +184,19 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
   base.session_id = session_id;
   base.key = key;
   base.generation = generation;
-  base.exact = usable_is_exact;
+  base.exact = split.usable_is_exact;
   base.usable = true;
-  base.bytes = usable_bytes;
+  base.bytes = split.usable_bytes;
   base.utility_per_byte = usable_rank;
   base.enqueue_ms = now;
   base.deadline_ms = deadline_ms;
   base.seq = ++seq_counter_;
   base.trace_id = trace_id;
-  base.payload = usable_payload;
+  base.payload = split.usable_payload;
   jobs_.push_back(std::move(base));
   ++stats_.chunks_enqueued;
 
-  if (!usable_is_exact) {
+  if (!split.usable_is_exact) {
     ChunkJob refine;
     refine.session_id = session_id;
     refine.key = key;
@@ -186,19 +204,94 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
     refine.exact = true;
     refine.usable = false;
     refine.awaiting_base = true;
-    refine.bytes = refine_bytes;
+    refine.bytes = split.refine_bytes;
     refine.utility_per_byte = options_.refine_utility_weight *
                               std::max(confidence, 0.0) /
-                              static_cast<double>(refine_bytes);
+                              static_cast<double>(split.refine_bytes);
     refine.enqueue_ms = now;
     refine.deadline_ms = deadline_ms;
     refine.seq = ++seq_counter_;
     refine.trace_id = trace_id;
-    refine.payload = exact_payload;
+    refine.payload = split.exact_payload;
     jobs_.push_back(std::move(refine));
     ++stats_.chunks_enqueued;
   }
   SpawnPumpLocked();
+}
+
+StreamScheduler::Split StreamScheduler::BuildSplit(
+    const tiles::Tile& tile) const {
+  Split split;
+  const std::string full = codec_.Encode(tile);
+  split.full_bytes = full.size();
+  if (options_.progressive) {
+    storage::ProgressiveEncoding prog = codec_.EncodeProgressive(tile);
+    auto reassembled = storage::TileCodec::Reassemble(prog.base,
+                                                      prog.refinement);
+    auto base_only = storage::TileCodec::Decode(prog.base);
+    if (reassembled.ok() && base_only.ok()) {
+      split.usable_bytes = prog.base.size();
+      split.refine_bytes = prog.refinement.size();
+      split.usable_is_exact = prog.refinement.empty();
+      // The exact payload is kept only when it differs from the source.
+      tiles::TilePtr exact;
+      if (!BitIdentical(*reassembled, tile)) {
+        exact = std::make_shared<const tiles::Tile>(
+            std::move(reassembled).value());
+      }
+      if (split.usable_is_exact) {
+        split.usable_payload = std::move(exact);
+      } else {
+        split.usable_payload = std::make_shared<const tiles::Tile>(
+            std::move(base_only).value());
+        split.exact_payload = std::move(exact);
+      }
+      return split;
+    }
+  }
+  // All-or-nothing mode — or a defensive fallback if the progressive pair
+  // failed to validate: one exact chunk carrying what a client decodes
+  // from the full blob (the source itself if that fails to decode).
+  auto decoded = storage::TileCodec::Decode(full);
+  split.usable_bytes = full.size();
+  if (decoded.ok() && !BitIdentical(*decoded, tile)) {
+    split.usable_payload =
+        std::make_shared<const tiles::Tile>(std::move(decoded).value());
+  }
+  return split;
+}
+
+StreamScheduler::Split StreamScheduler::SplitFor(const tiles::TilePtr& tile,
+                                                 bool* built) {
+  Split split;
+  *built = true;
+  {
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    auto it = memo_.find(tile.get());
+    // The address alone proves nothing: a freed tile's address may be
+    // reused, and then the old entry's source has expired.
+    if (it != memo_.end() && it->second.source.lock() == tile) {
+      split = it->second;
+      *built = false;
+    }
+  }
+  if (*built) {
+    split = BuildSplit(*tile);
+    split.source = tile;
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    if (memo_.size() >= memo_sweep_at_) {
+      for (auto it = memo_.begin(); it != memo_.end();) {
+        it = it->second.source.expired() ? memo_.erase(it) : std::next(it);
+      }
+      memo_sweep_at_ = std::max(kMinMemoSweep, 2 * memo_.size());
+    }
+    memo_.insert_or_assign(tile.get(), split);
+  }
+  if (split.usable_payload == nullptr) split.usable_payload = tile;
+  if (!split.usable_is_exact && split.exact_payload == nullptr) {
+    split.exact_payload = tile;
+  }
+  return split;
 }
 
 void StreamScheduler::RefillBudgetsLocked(double now_ms) {
@@ -513,6 +606,11 @@ StreamSchedulerStats StreamScheduler::Stats() const {
   return stats_;
 }
 
+std::size_t StreamScheduler::memoized_splits() const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  return memo_.size();
+}
+
 std::vector<StreamChunkInfo> StreamScheduler::SnapshotQueue() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<StreamChunkInfo> out;
@@ -552,6 +650,7 @@ std::uint64_t RegisterStreamSchedulerMetrics(
     sink.AddCounter("fc.stream.deadline_misses", s.deadline_misses);
     sink.AddCounter("fc.stream.fairness_picks", s.fairness_picks);
     sink.AddCounter("fc.stream.fairness_promotions", s.fairness_promotions);
+    sink.AddCounter("fc.stream.splits_built", s.splits_built);
     sink.AddGauge("fc.stream.queued", static_cast<double>(scheduler->queued()));
   });
 }

@@ -44,11 +44,35 @@
 //    fairness_share s, a weighted round-robin slice serves the
 //    most-underserved-by-bytes session every 1/s picks.
 //
+// Encode once, push many. A tile is a shared_ptr<const Tile>, so its
+// content never changes; the codec work of splitting it (Encode, the
+// progressive pair, and the Reassemble + Decode(base) validation with its
+// all-or-nothing fallback) is done once per distinct tile object and
+// memoized, keyed by the tile's address. Every later SubmitTile of the same
+// object — the shared L1 hands the same TilePtr to every session — is a
+// lookup plus the queueing. The memo's rules:
+//
+//  * Lifetime. An entry holds only a weak_ptr to its source, and a hit
+//    requires the weak_ptr to lock to the submitted tile, so a freed tile
+//    whose address is reused always gets a fresh split. Entries whose
+//    source expired are swept lazily, whenever the memo has doubled since
+//    the last sweep.
+//  * Memory. A decoded payload bit-identical to the source (any lossless
+//    final encoding, such as the default kRawF64) is not stored: the
+//    submitted TilePtr itself is pushed. An entry then holds at most one
+//    decoded coarse base, so the memo costs at most one base per live
+//    source tile (plus expired entries awaiting a sweep).
+//  * Chunk sizes, ranks and payload bits are exactly what a fresh split
+//    yields; splits_built counts the splits computed.
+//
 // Thread-safety: all methods are thread-safe. One mutex guards the chunk
-// list, the session registry, the buckets, and the counters; encoding
-// happens before the lock and sink invocations happen outside it, pinned
-// by per-session in-flight counts (a session is never erased mid-push).
-// Sinks must not call back into the scheduler.
+// list, the session registry, the buckets, and the counters; a second one
+// guards only the split memo. Splits are computed outside both locks and
+// sink invocations happen outside them too, pinned by per-session
+// in-flight counts (a session is never erased mid-push). Waits re-look-up
+// their session by id after every wake-up, never through a pointer a
+// concurrent UnregisterSession may have freed. Sinks must not call back
+// into the scheduler.
 //
 // With an Executor the scheduler pumps itself whenever work is submitted;
 // with none it is in PULL MODE and the owner drives it via Pump()/Flush()
@@ -172,6 +196,10 @@ struct StreamSchedulerStats {
   /// higher-utility chunk.
   std::uint64_t fairness_picks = 0;
   std::uint64_t fairness_promotions = 0;
+  /// Progressive splits computed (memo misses). A tile object submitted
+  /// any number of times is split once, unless its first submissions
+  /// race each other.
+  std::uint64_t splits_built = 0;
 };
 
 /// A queued chunk, as reported by SnapshotQueue() (push order not implied).
@@ -238,6 +266,13 @@ class StreamScheduler {
   /// without unregistering it (session reset / abort).
   void CancelSession(std::uint64_t session_id);
 
+  /// Flushes, then waits until the session has no push in flight and no
+  /// budget-eligible queued chunk — also when the executor self-pump, not
+  /// this caller, picked the session's chunks. Budget-blocked chunks stay
+  /// queued (a rate-limited stream leaves the region partially coarse
+  /// until bandwidth accrues). Returns at once for unknown ids.
+  void WaitForSession(std::uint64_t session_id);
+
   /// Drops the session's queued chunks from generations other than
   /// `live_generation` — the push-side supersession a new publication
   /// triggers. Does not wait for in-flight pushes (their receivers
@@ -251,7 +286,8 @@ class StreamScheduler {
   void SetClock(const Clock* clock);
 
   /// Splits `tile` per the progressive codec (or encodes it whole in
-  /// all-or-nothing mode) and queues the chunks for `session_id`.
+  /// all-or-nothing mode) — or reuses the memoized split of this tile
+  /// object — and queues the chunks for `session_id`.
   /// `confidence` feeds the utility rank; `deadline_ms` is an absolute
   /// virtual time (kNoDeadline = none). Unknown/unregistering sessions
   /// drop the submission as stale. With an executor, submission kicks the
@@ -290,7 +326,30 @@ class StreamScheduler {
   /// Consistent snapshot of the queued chunks, in submission order.
   std::vector<StreamChunkInfo> SnapshotQueue() const;
 
+  /// Entries in the split memo, live and not yet swept.
+  std::size_t memoized_splits() const;
+
  private:
+  /// One tile object's split: chunk sizes and decoded payloads. A null
+  /// payload stands for the source tile itself (bit-identical decode).
+  struct Split {
+    std::weak_ptr<const tiles::Tile> source;
+    std::size_t full_bytes = 0;  ///< All-or-nothing blob size (the rank).
+    std::size_t usable_bytes = 0;
+    std::size_t refine_bytes = 0;
+    bool usable_is_exact = true;
+    tiles::TilePtr usable_payload;
+    tiles::TilePtr exact_payload;  ///< Null also when usable_is_exact.
+  };
+
+  /// Runs the codec: encode, split, validate (see the header notes).
+  Split BuildSplit(const tiles::Tile& tile) const;
+
+  /// The split of `tile` with both payloads resolved (non-null where the
+  /// chunk exists), from the memo or freshly built. `*built` reports a
+  /// memo miss.
+  Split SplitFor(const tiles::TilePtr& tile, bool* built);
+
   struct ChunkJob {
     std::uint64_t session_id = 0;
     tiles::TileKey key;
@@ -364,6 +423,17 @@ class StreamScheduler {
   /// Arms one self-pump task if queued work exists. Caller holds mu_.
   void SpawnPumpLocked();
 
+  /// The registered state of `session_id` (unregistering or not), or
+  /// null. Waits call this after every wake-up. Caller holds mu_.
+  SessionState* FindLocked(std::uint64_t session_id) const;
+
+  /// True when `session_id` has no push in flight (or is gone). Caller
+  /// holds mu_.
+  bool PushesSettledLocked(std::uint64_t session_id) const;
+
+  /// Drops every queued chunk of `session_id` as stale. Caller holds mu_.
+  void DropSessionLocked(std::uint64_t session_id);
+
   Executor* executor_;  ///< Null in pull mode.
   StreamSchedulerOptions options_;
   storage::TileCodec codec_;
@@ -387,6 +457,12 @@ class StreamScheduler {
   /// Telemetry instrument, resolved once at construction (null when
   /// options_.metrics is null).
   telemetry::Histogram* ttfu_us_ = nullptr;
+
+  /// Split memo, keyed by source tile address (see the header notes).
+  /// Never held together with mu_.
+  mutable std::mutex memo_mu_;
+  std::unordered_map<const tiles::Tile*, Split> memo_;
+  std::size_t memo_sweep_at_ = 0;  ///< Memo size that triggers a sweep.
 };
 
 /// Folds the scheduler's Stats() into `registry` as fc.stream.* counters

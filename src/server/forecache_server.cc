@@ -93,11 +93,12 @@ void ForeCacheServer::StartSession() {
 void ForeCacheServer::WaitForPrefetch() {
   if (scheduler_ != nullptr) {
     scheduler_->WaitForSession(scheduler_session_);
-    if (stream_scheduler_ != nullptr) {
-      // Push what the byte budgets allow right now. Budget-blocked chunks
-      // stay queued — a rate-limited stream is SUPPOSED to leave the
-      // region partially coarse until bandwidth accrues.
-      stream_scheduler_->Flush();
+    if (stream_ != nullptr) {
+      // Push what the byte budgets allow right now, including chunks the
+      // executor self-pump has in flight. Budget-blocked chunks stay
+      // queued — a rate-limited stream is SUPPOSED to leave the region
+      // partially coarse until bandwidth accrues.
+      stream_scheduler_->WaitForSession(stream_->stream_session());
     }
     return;
   }

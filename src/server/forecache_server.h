@@ -127,9 +127,11 @@ class ForeCacheServer {
   /// proceeds in the background.
   Result<ServedRequest> HandleRequest(const core::TileRequest& request);
 
-  /// Blocks until no prefetch fill is in flight. Replay harnesses call this
-  /// between moves to model think time fully covering the fill (and to make
-  /// replays deterministic). No-op for synchronous servers.
+  /// Blocks until no prefetch fill is in flight and, with streaming, until
+  /// every chunk the byte budgets allow has been pushed to this session.
+  /// Replay harnesses call this between moves to model think time fully
+  /// covering the fill (and to make replays deterministic). No-op for
+  /// synchronous servers.
   void WaitForPrefetch();
 
   /// Resets per-session state (cache + engine history) for a new session.

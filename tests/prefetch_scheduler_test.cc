@@ -2,7 +2,8 @@
 // (merge raises priority, generation invalidation, per-tile uniqueness),
 // the CacheManager delivery gate, and a randomized concurrent-publishers
 // property test for the accounting invariant
-//   fills_issued + dedup_saved_fetches == predictions_published.
+//   fills_issued + dedup_saved_fetches == predictions_published,
+// and a lifetime stress test of session waits racing UnregisterSession.
 //
 // The goldens run the scheduler in pull mode (null executor): Publish only
 // queues, and the test drives fills one at a time with DrainOne(), so every
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <thread>
 #include <vector>
@@ -621,6 +623,75 @@ TEST(PrefetchSchedulerBatchTest, ConcurrentBatchedDrainAndTeardownStress) {
             cache_stats.insertions + cache_stats.admission_rejects);
   EXPECT_EQ(cache_stats.fetch_rounds_saved,
             cache_stats.batched_tiles - cache_stats.batches_issued);
+}
+
+// Lifetime regression: CancelSession and WaitForSession racing an
+// UnregisterSession of the same id. The waits must re-look-up the id after
+// every wake-up; holding the session's state across the wait reads freed
+// memory once the unregister erases it (run under ASan+UBSan in CI). Fills
+// are slow so every wait really blocks on in-flight work.
+class SlowTileStore : public storage::TileStore {
+ public:
+  explicit SlowTileStore(std::shared_ptr<const tiles::TilePyramid> pyramid)
+      : inner_(std::move(pyramid)) {}
+
+  Result<tiles::TilePtr> Fetch(const tiles::TileKey& key) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    return inner_.Fetch(key);
+  }
+  bool Contains(const tiles::TileKey& key) const override {
+    return inner_.Contains(key);
+  }
+  const tiles::PyramidSpec& spec() const override { return inner_.spec(); }
+  std::uint64_t fetch_count() const override { return inner_.fetch_count(); }
+
+ private:
+  storage::MemoryTileStore inner_;
+};
+
+TEST(PrefetchSchedulerStressTest, WaitersSurviveConcurrentUnregister) {
+  auto pyramid = SmallPyramid();
+  SlowTileStore store(pyramid);
+  SharedTileCacheOptions cache_options;
+  cache_options.l1_bytes = 4 * 8 * 8 * sizeof(double);  // keep fills coming
+  cache_options.num_shards = 1;
+  SharedTileCache shared(cache_options);
+  Executor executor(4);
+  PrefetchSchedulerOptions scheduler_options;
+  scheduler_options.max_in_flight = 2;
+  PrefetchScheduler scheduler(&store, &executor, &shared, scheduler_options);
+
+  const auto keys = pyramid->spec().AllKeys();
+  std::atomic<std::uint64_t> delivered{0};
+  Rng rng(/*seed=*/8100);
+  for (int round = 0; round < 40; ++round) {
+    const std::uint64_t id = scheduler.RegisterSession(
+        0, [&delivered](const tiles::TileKey&, const tiles::TilePtr& tile,
+                        std::uint64_t) {
+          EXPECT_NE(tile, nullptr);
+          delivered.fetch_add(1);
+        });
+    std::vector<PrefetchCandidate> list;
+    for (int i = 0; i < 6; ++i) {
+      list.push_back(
+          {keys[rng.UniformUint32(static_cast<std::uint32_t>(keys.size()))],
+           0.5});
+    }
+    scheduler.Publish(id, 1, std::move(list));
+    std::vector<std::thread> threads;
+    threads.emplace_back([&scheduler, id] { scheduler.WaitForSession(id); });
+    threads.emplace_back([&scheduler, id] { scheduler.CancelSession(id); });
+    threads.emplace_back([&scheduler, id] { scheduler.UnregisterSession(id); });
+    threads.emplace_back([&scheduler, id] { scheduler.UnregisterSession(id); });
+    for (auto& t : threads) t.join();
+  }
+  scheduler.Shutdown();
+  auto stats = scheduler.Stats();
+  EXPECT_GT(stats.predictions_published, 0u);
+  EXPECT_EQ(stats.fills_issued + stats.dedup_saved_fetches,
+            stats.predictions_published);
+  EXPECT_EQ(stats.deliveries, delivered.load());
+  EXPECT_EQ(scheduler.pending(), 0u);
 }
 
 }  // namespace

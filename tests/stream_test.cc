@@ -5,9 +5,10 @@
 // utility, byte budgets, supersession, expiry, deadlines, fairness) on a
 // SimClock; a randomized property checks the progressive schedule is
 // observationally equivalent to the all-or-nothing one (same final tile
-// bits, first-usable chunk never later); and two executor-mode stress
-// tests (session churn mid-stream, manager teardown under in-flight
-// pushes) run under TSan in CI.
+// bits, first-usable chunk never later); the split-memo tests pin that a
+// tile object is split once and that the memo changes no pushed bit; and
+// the executor-mode stress tests (session churn mid-stream, manager
+// teardown under in-flight pushes) run under TSan and ASan+UBSan in CI.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/executor.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "core/ab_recommender.h"
@@ -498,6 +500,214 @@ TEST(StreamSchedulerTest, ProgressiveEquivalentToAllOrNothingNeverLater) {
 }
 
 // ---------------------------------------------------------------------------
+// Split memo: a tile object is split once however often it is submitted,
+// an address reused by a new tile never sees a stale split, the memo stays
+// bounded by the live tiles, and no pushed bit changes.
+
+// One pushed chunk with its payload bits, for bit-for-bit comparisons.
+struct PushedChunk {
+  std::uint64_t session = 0;
+  tiles::TileKey key;
+  bool exact = false;
+  std::vector<std::uint64_t> bits;
+
+  bool operator==(const PushedChunk& other) const {
+    return session == other.session && key == other.key &&
+           exact == other.exact && bits == other.bits;
+  }
+};
+
+StreamScheduler::ChunkSink RecordBits(std::vector<PushedChunk>* log,
+                                      std::uint64_t session) {
+  return [log, session](const tiles::TileKey& key, const tiles::TilePtr& tile,
+                        bool exact, std::uint64_t) {
+    ASSERT_NE(tile, nullptr);
+    log->push_back({session, key, exact, CellBits(*tile)});
+  };
+}
+
+TEST(StreamSplitMemoTest, TileSubmittedAcrossSessionsIsSplitOnce) {
+  telemetry::MetricsRegistry registry;
+  StreamSchedulerOptions options;
+  options.codec.progressive_base_step = 8.0;
+  StreamScheduler scheduler(nullptr, options);
+  const std::uint64_t source =
+      core::RegisterStreamSchedulerMetrics(&registry, &scheduler);
+  std::vector<PushedChunk> log;
+  std::uint64_t ids[3];
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    ids[s] = scheduler.RegisterSession(s + 1, {}, RecordBits(&log, s + 1));
+  }
+
+  const tiles::TileKey key{1, 0, 0};
+  const tiles::TilePtr tile = GaussianTile(key, 31);
+  constexpr int kRounds = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::uint64_t id : ids) {
+      scheduler.SubmitTile(id, key, tile, 1 + round, 0.5);
+    }
+    scheduler.Flush();
+  }
+
+  auto stats = scheduler.Stats();
+  EXPECT_EQ(stats.tiles_submitted, 3u * kRounds);
+  EXPECT_EQ(stats.splits_built, 1u);
+  EXPECT_EQ(stats.chunks_pushed, 2u * 3u * kRounds);
+  EXPECT_EQ(scheduler.memoized_splits(), 1u);
+  EXPECT_EQ(registry.Snapshot().CounterOr("fc.stream.splits_built", 99), 1u);
+  // A distinct object with the same content is a distinct tile.
+  scheduler.SubmitTile(ids[0], key, std::make_shared<const tiles::Tile>(*tile),
+                       9, 0.5);
+  EXPECT_EQ(scheduler.Stats().splits_built, 2u);
+  registry.RemoveSource(source);
+}
+
+TEST(StreamSplitMemoTest, ReusedAddressGetsAFreshSplit) {
+  StreamSchedulerOptions options;
+  options.codec.progressive_base_step = 8.0;
+  StreamScheduler scheduler(nullptr, options);
+  std::vector<PushedChunk> log;
+  const std::uint64_t id = scheduler.RegisterSession(1, {}, RecordBits(&log, 1));
+
+  // Both tiles are built in one buffer, so the second one lives at the
+  // first one's address; each gets its own control block, as a heap
+  // allocator reusing a freed block would give it.
+  alignas(tiles::Tile) unsigned char slot[sizeof(tiles::Tile)];
+  auto in_slot = [&slot](const tiles::TilePtr& model) {
+    return tiles::TilePtr(new (slot) tiles::Tile(*model),
+                          [](const tiles::Tile* t) { t->~Tile(); });
+  };
+  const tiles::TileKey key{1, 0, 0};
+  const tiles::TilePtr first_model = GaussianTile(key, 41);
+  const tiles::TilePtr second_model = GaussianTile(key, 42);
+
+  tiles::TilePtr first = in_slot(first_model);
+  const tiles::Tile* address = first.get();
+  scheduler.SubmitTile(id, key, first, 1, 0.5);
+  EXPECT_EQ(scheduler.Flush(), 2u);
+  first.reset();  // the scheduler holds no strong reference after the push
+
+  tiles::TilePtr second = in_slot(second_model);
+  ASSERT_EQ(second.get(), address);
+  scheduler.SubmitTile(id, key, second, 2, 0.5);
+  EXPECT_EQ(scheduler.Flush(), 2u);
+  EXPECT_EQ(scheduler.Stats().splits_built, 2u);
+
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_TRUE(log[1].exact);
+  EXPECT_TRUE(log[3].exact);
+  EXPECT_EQ(log[1].bits, CellBits(*first_model));
+  EXPECT_EQ(log[3].bits, CellBits(*second_model));
+  EXPECT_NE(log[2].bits, log[0].bits);  // the second base is not the first
+  second.reset();
+}
+
+TEST(StreamSplitMemoTest, MemoStaysBoundedByLiveTiles) {
+  StreamSchedulerOptions options;
+  options.codec.progressive_base_step = 8.0;
+  StreamScheduler scheduler(nullptr, options);
+  std::vector<PushedChunk> log;
+  const std::uint64_t id = scheduler.RegisterSession(1, {}, RecordBits(&log, 1));
+
+  // 64 is the size of the first sweep: with no tile kept alive, the memo
+  // never grows past it however many tiles go through.
+  constexpr std::size_t kFloor = 64;
+  for (int i = 0; i < 500; ++i) {
+    const tiles::TileKey key{2, i % 20, i / 20};
+    scheduler.SubmitTile(id, key, GaussianTile(key, 5000 + i), 1, 0.5);
+    scheduler.Flush();
+    ASSERT_LE(scheduler.memoized_splits(), kFloor) << "after tile " << i;
+  }
+  EXPECT_EQ(scheduler.Stats().splits_built, 500u);
+
+  // Live tiles keep their entries (resubmitting them builds nothing), and
+  // the memo stays within twice the live set while transient tiles churn.
+  std::vector<tiles::TilePtr> live;
+  for (int i = 0; i < 100; ++i) {
+    const tiles::TileKey key{3, i % 10, i / 10};
+    live.push_back(GaussianTile(key, 7000 + i));
+    scheduler.SubmitTile(id, key, live.back(), 2, 0.5);
+  }
+  scheduler.Flush();
+  for (int i = 0; i < 300; ++i) {
+    const tiles::TileKey key{4, i % 20, i / 20};
+    scheduler.SubmitTile(id, key, GaussianTile(key, 9000 + i), 3, 0.5);
+    scheduler.Flush();
+    ASSERT_LE(scheduler.memoized_splits(), 2 * live.size()) << "tile " << i;
+  }
+  EXPECT_GE(scheduler.memoized_splits(), live.size());
+  const std::uint64_t built = scheduler.Stats().splits_built;
+  for (const tiles::TilePtr& tile : live) {
+    scheduler.SubmitTile(id, tile->key(), tile, 4, 0.5);
+  }
+  scheduler.Flush();
+  EXPECT_EQ(scheduler.Stats().splits_built, built);
+}
+
+// The memo changes no pushed bit: one scheduler sees the same tile objects
+// again and again (memo hits), its twin a fresh copy on every submission
+// (memo misses). Chunk sizes, ranks, order and payload bits must match, in
+// both streaming modes and for a lossless and a lossy final encoding.
+TEST(StreamSplitMemoTest, PushedBitsIdenticalToFreshSplits) {
+  for (bool progressive : {true, false}) {
+    for (storage::TileEncoding encoding :
+         {storage::TileEncoding::kRawF64, storage::TileEncoding::kDeltaVarint}) {
+      SCOPED_TRACE(testing::Message() << "progressive " << progressive
+                                      << " encoding "
+                                      << static_cast<int>(encoding));
+      StreamSchedulerOptions options;
+      options.progressive = progressive;
+      options.codec.encoding = encoding;
+      options.codec.quant_step = 0.5;
+      options.codec.progressive_base_step = 8.0;
+      StreamScheduler memo(nullptr, options);
+      StreamScheduler fresh(nullptr, options);
+      std::vector<PushedChunk> memo_log, fresh_log;
+      std::uint64_t memo_ids[3], fresh_ids[3];
+      for (std::uint64_t s = 0; s < 3; ++s) {
+        memo_ids[s] = memo.RegisterSession(s + 1, {}, RecordBits(&memo_log, s + 1));
+        fresh_ids[s] =
+            fresh.RegisterSession(s + 1, {}, RecordBits(&fresh_log, s + 1));
+      }
+      std::vector<tiles::TilePtr> sources;
+      for (int i = 0; i < 6; ++i) {
+        const tiles::TileKey key{2, i, 0};
+        sources.push_back(GaussianTile(key, 600 + i, 10.0 + 40.0 * i));
+      }
+      Rng rng(77);
+      for (int round = 0; round < 5; ++round) {
+        for (int n = 0; n < 8; ++n) {
+          const std::size_t s = rng.UniformUint32(3);
+          const tiles::TilePtr& tile = sources[rng.UniformUint32(6)];
+          const double confidence = rng.UniformInt(1, 100) / 100.0;
+          memo.SubmitTile(memo_ids[s], tile->key(), tile, 1 + round,
+                          confidence);
+          fresh.SubmitTile(fresh_ids[s], tile->key(),
+                           std::make_shared<const tiles::Tile>(*tile),
+                           1 + round, confidence);
+        }
+        const auto memo_queue = memo.SnapshotQueue();
+        const auto fresh_queue = fresh.SnapshotQueue();
+        ASSERT_EQ(memo_queue.size(), fresh_queue.size());
+        for (std::size_t i = 0; i < memo_queue.size(); ++i) {
+          EXPECT_EQ(memo_queue[i].key, fresh_queue[i].key);
+          EXPECT_EQ(memo_queue[i].exact, fresh_queue[i].exact);
+          EXPECT_EQ(memo_queue[i].bytes, fresh_queue[i].bytes);
+          EXPECT_EQ(memo_queue[i].utility_per_byte,
+                    fresh_queue[i].utility_per_byte);
+        }
+        memo.Flush();
+        fresh.Flush();
+      }
+      EXPECT_FALSE(memo_log.empty());
+      EXPECT_EQ(memo_log, fresh_log);
+      EXPECT_LE(memo.Stats().splits_built, 6u);
+      EXPECT_EQ(fresh.Stats().splits_built, fresh.Stats().tiles_submitted);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // TSan stress: session churn racing submissions, cancellations, and the
 // executor self-pump mid-stream. Run under TSan in CI.
 
@@ -697,6 +907,56 @@ TEST(PushStreamIntegrationTest, StreamingPreservesReplayHitSequence) {
   auto with = replay(true);
   EXPECT_FALSE(without.empty());
   EXPECT_EQ(without, with);
+}
+
+// Settle regression: WaitForPrefetch must also wait out chunks the
+// executor self-pump picked before the session's own flush ran. Otherwise
+// the next request can be served a coarse base. After every wait, each
+// tile resident in the prefetch region is the exact tile.
+TEST(PushStreamIntegrationTest, WaitForPrefetchLeavesOnlyExactTiles) {
+  auto pyramid = StreamTestPyramid();
+  auto parts = StreamEngineParts::Make();
+  server::SharedPredictionComponents shared;
+  shared.ab = &parts.ab;
+  shared.strategy = &parts.strategy;
+  shared.engine_options.prefetch_k = 8;
+
+  storage::MemoryTileStore store(pyramid);
+  SimClock clock;
+  server::SessionManagerOptions options;
+  options.executor_threads = 4;
+  options.use_push_streaming = true;
+  options.stream_scheduler.codec.progressive_base_step = 8.0;
+  server::SessionManager manager(&store, &clock, shared, options);
+  server::BrowserSession* session = manager.GetOrCreate("u1");
+  auto server = manager.ServerFor("u1");
+  ASSERT_TRUE(server.ok());
+  const core::LruTileCache& region =
+      (*server)->cache_manager().prefetch_cache();
+
+  std::size_t checked = 0;
+  auto check_region = [&] {
+    for (const tiles::TileKey& key : region.KeysByRecency()) {
+      tiles::TilePtr resident = region.Peek(key);
+      auto truth = store.Fetch(key);
+      ASSERT_NE(resident, nullptr);
+      ASSERT_TRUE(truth.ok());
+      ASSERT_EQ(CellBits(*resident), CellBits(**truth))
+          << "coarse tile resident after WaitForPrefetch: " << key.ToString();
+      ++checked;
+    }
+  };
+  ASSERT_TRUE(session->Open().ok());
+  session->WaitForPrefetch();
+  check_region();
+  for (core::Move move : StreamMoveTape(/*seed=*/4300, /*length=*/60)) {
+    if (!session->ApplyMove(move).ok()) continue;
+    session->WaitForPrefetch();
+    check_region();
+  }
+  EXPECT_GT(checked, 0u);
+  auto counters = (*server)->push_stream()->counters();
+  EXPECT_GT(counters.base_delivered, 0u);  // the bases really were coarse
 }
 
 // ---------------------------------------------------------------------------
