@@ -365,11 +365,10 @@ RunResult RunChannel(std::size_t num_sessions, const ModeSpec& mode,
   const bool fetch_books =
       result.prefetch.fills_issued + result.prefetch.dedup_saved_fetches ==
       result.prefetch.predictions_published;
-  // Every enqueued chunk is pushed, shed stale (supersession or the final
-  // shutdown), or expired; pushes split exactly into the two classes.
+  // Every enqueued chunk is pushed or shed stale (supersession or the
+  // final shutdown); pushes split exactly into the two classes.
   const bool stream_books =
-      result.stream.chunks_pushed + result.stream.stale_chunks_dropped +
-              result.stream.expired_chunks_dropped ==
+      result.stream.chunks_pushed + result.stream.stale_chunks_dropped ==
           result.stream.chunks_enqueued &&
       result.stream.base_chunks_pushed + result.stream.exact_chunks_pushed ==
           result.stream.chunks_pushed;
@@ -435,7 +434,6 @@ int main() {
       row.Set("bytes_pushed", run.stream.bytes_pushed);
       row.Set("budget_stalls", run.stream.budget_stalls);
       row.Set("stale_chunks_dropped", run.stream.stale_chunks_dropped);
-      row.Set("expired_chunks_dropped", run.stream.expired_chunks_dropped);
       row.Set("books_balance", run.books_balance);
       results.Push(std::move(row));
       runs.emplace(mode.name, run);

@@ -22,6 +22,15 @@ bool BetterJob(bool a_usable, double a_util, std::uint64_t a_seq,
 /// The split memo is first swept once it holds this many entries.
 constexpr std::size_t kMinMemoSweep = 64;
 
+/// Rank weights of the two chunk classes. Each scales a whole class
+/// uniformly and class decides first, so they fix the reported
+/// utility_per_byte values, never the push order.
+constexpr double kUsableUtilityWeight = 1.0;
+constexpr double kRefineUtilityWeight = 0.25;
+
+/// Chunks pushed per Pump() round at most (bounds sink work per call).
+constexpr std::size_t kMaxPumpChunks = 64;
+
 /// Same key, shape, attributes and cell bits.
 bool BitIdentical(const tiles::Tile& a, const tiles::Tile& b) {
   if (!(a.key() == b.key()) || a.width() != b.width() ||
@@ -45,9 +54,6 @@ bool BitIdentical(const tiles::Tile& a, const tiles::Tile& b) {
 StreamScheduler::StreamScheduler(Executor* executor,
                                  StreamSchedulerOptions options)
     : executor_(executor), options_(options), codec_(options.codec) {
-  if (options_.max_pump_chunks == 0) options_.max_pump_chunks = 1;
-  options_.fairness_share =
-      std::clamp(options_.fairness_share, 0.0, 1.0);
   total_tokens_ = static_cast<double>(options_.total_burst_bytes);
   memo_sweep_at_ = kMinMemoSweep;
   if (options_.metrics != nullptr) {
@@ -67,7 +73,6 @@ std::uint64_t StreamScheduler::RegisterSession(std::uint64_t session_id,
   auto state = std::make_unique<SessionState>();
   state->sink = std::move(sink);
   state->limits = limits;
-  if (!(state->limits.weight > 0.0)) state->limits.weight = 1.0;
   state->tokens = static_cast<double>(limits.burst_bytes);
   sessions_[session_id] = std::move(state);
   return session_id;
@@ -147,16 +152,11 @@ void StreamScheduler::CancelStaleGenerations(std::uint64_t session_id,
   }
 }
 
-void StreamScheduler::SetClock(const Clock* clock) {
-  std::lock_guard<std::mutex> lock(mu_);
-  options_.clock = clock;
-}
-
 void StreamScheduler::SubmitTile(std::uint64_t session_id,
                                  const tiles::TileKey& key,
                                  const tiles::TilePtr& tile,
                                  std::uint64_t generation, double confidence,
-                                 double deadline_ms, std::uint64_t trace_id) {
+                                 std::uint64_t trace_id) {
   if (tile == nullptr) return;
 
   // Split before the lock: on a memo miss this is the CPU-heavy part.
@@ -165,7 +165,7 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
   // order the all-or-nothing one would (see header notes).
   bool built = false;
   const Split split = SplitFor(tile, &built);
-  const double usable_rank = options_.base_utility_weight *
+  const double usable_rank = kUsableUtilityWeight *
                              std::max(confidence, 0.0) /
                              static_cast<double>(split.full_bytes);
 
@@ -189,7 +189,6 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
   base.bytes = split.usable_bytes;
   base.utility_per_byte = usable_rank;
   base.enqueue_ms = now;
-  base.deadline_ms = deadline_ms;
   base.seq = ++seq_counter_;
   base.trace_id = trace_id;
   base.payload = split.usable_payload;
@@ -205,11 +204,10 @@ void StreamScheduler::SubmitTile(std::uint64_t session_id,
     refine.usable = false;
     refine.awaiting_base = true;
     refine.bytes = split.refine_bytes;
-    refine.utility_per_byte = options_.refine_utility_weight *
+    refine.utility_per_byte = kRefineUtilityWeight *
                               std::max(confidence, 0.0) /
                               static_cast<double>(split.refine_bytes);
     refine.enqueue_ms = now;
-    refine.deadline_ms = deadline_ms;
     refine.seq = ++seq_counter_;
     refine.trace_id = trace_id;
     refine.payload = split.exact_payload;
@@ -318,21 +316,6 @@ void StreamScheduler::RefillBudgetsLocked(double now_ms) {
   }
 }
 
-void StreamScheduler::ExpireLocked(double now_ms) {
-  if (!(options_.max_chunk_age_ms > 0.0)) return;
-  for (auto job = jobs_.begin(); job != jobs_.end();) {
-    // Sentinel-stamped chunks (submitted clockless) are exempt: the stamp
-    // is "unknown age", not virtual time 0, so a late-wired clock cannot
-    // force-flush the backlog.
-    if (job->enqueue_ms >= 0.0 &&
-        now_ms - job->enqueue_ms > options_.max_chunk_age_ms) {
-      job = DropLocked(job, &stats_.expired_chunks_dropped);
-    } else {
-      ++job;
-    }
-  }
-}
-
 bool StreamScheduler::EligibleLocked(const ChunkJob& job,
                                      const SessionState& state) const {
   if (state.unregistering || job.awaiting_base) return false;
@@ -355,87 +338,22 @@ bool StreamScheduler::EligibleLocked(const ChunkJob& job,
   return true;
 }
 
-std::list<StreamScheduler::ChunkJob>::iterator StreamScheduler::SelectLocked(
-    double now_ms) {
-  const bool fairness = options_.fairness_share > 0.0;
-  const bool deadline =
-      options_.deadline_aware && options_.clock != nullptr;
-  for (;;) {
-    auto best = jobs_.end();
-    auto edf = jobs_.end();
-    for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
-      auto session = sessions_.find(it->session_id);
-      if (session == sessions_.end() ||
-          !EligibleLocked(*it, *session->second)) {
-        continue;
-      }
-      if (best == jobs_.end() ||
-          BetterJob(it->usable, it->utility_per_byte, it->seq,
-                    best->usable, best->utility_per_byte, best->seq)) {
-        best = it;
-      }
-      if (deadline && it->deadline_ms < kNoDeadline &&
-          it->utility_per_byte >= options_.deadline_utility_bar) {
-        if (edf == jobs_.end() ||
-            (it->usable != edf->usable ? it->usable
-             : it->deadline_ms != edf->deadline_ms
-                 ? it->deadline_ms < edf->deadline_ms
-                 : it->seq < edf->seq)) {
-          edf = it;
-        }
-      }
+std::list<StreamScheduler::ChunkJob>::iterator
+StreamScheduler::SelectLocked() {
+  auto best = jobs_.end();
+  for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
+    auto session = sessions_.find(it->session_id);
+    if (session == sessions_.end() ||
+        !EligibleLocked(*it, *session->second)) {
+      continue;
     }
-    if (best == jobs_.end()) return best;
-
-    // EDF urgency first: chunks above the bar push earliest-deadline-first
-    // within their class. Expired ones demote back to utility order so
-    // overload cannot consume the urgent budget (PR 7's rule).
-    if (edf != jobs_.end() && edf->usable == best->usable) {
-      if (now_ms >= 0.0 && edf->deadline_ms < now_ms) {
-        ++stats_.deadline_misses;
-        edf->deadline_ms = kNoDeadline;
-        continue;  // rescan without this deadline
-      }
-      ++stats_.deadline_picks;
-      if (edf != best) ++stats_.deadline_promotions;
-      return edf;
+    if (best == jobs_.end() ||
+        BetterJob(it->usable, it->utility_per_byte, it->seq, best->usable,
+                  best->utility_per_byte, best->seq)) {
+      best = it;
     }
-
-    // Fairness slice: every 1/share picks serve the most-underserved-by-
-    // bytes session's best eligible chunk (weight-normalized; credit
-    // banked fractionally, carried over rounds EDF consumed).
-    if (fairness && fairness_credit_ >= 1.0) {
-      auto pick = jobs_.end();
-      double pick_served = 0.0;
-      for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
-        auto session = sessions_.find(it->session_id);
-        if (session == sessions_.end() ||
-            !EligibleLocked(*it, *session->second)) {
-          continue;
-        }
-        double served =
-            session->second->bytes_served / session->second->limits.weight;
-        bool new_session = pick == jobs_.end() || served < pick_served ||
-                           (served == pick_served &&
-                            it->session_id < pick->session_id);
-        bool same_session =
-            pick != jobs_.end() && it->session_id == pick->session_id &&
-            BetterJob(it->usable, it->utility_per_byte, it->seq,
-                      pick->usable, pick->utility_per_byte, pick->seq);
-        if (new_session || same_session) {
-          pick = it;
-          pick_served = served;
-        }
-      }
-      if (pick != jobs_.end()) {
-        fairness_credit_ -= 1.0;
-        ++stats_.fairness_picks;
-        if (pick != best) ++stats_.fairness_promotions;
-        return pick;
-      }
-    }
-    return best;
   }
+  return best;
 }
 
 std::list<StreamScheduler::ChunkJob>::iterator StreamScheduler::DropLocked(
@@ -467,18 +385,10 @@ std::size_t StreamScheduler::Pump() {
     const double now = options_.clock != nullptr
                            ? options_.clock->NowMillis()
                            : kNoEnqueueStamp;
-    if (options_.clock != nullptr) {
-      RefillBudgetsLocked(now);
-      ExpireLocked(now);
-    }
+    if (options_.clock != nullptr) RefillBudgetsLocked(now);
     const bool had_work = !jobs_.empty();
-    while (ready.size() < options_.max_pump_chunks) {
-      if (options_.fairness_share > 0.0) {
-        fairness_credit_ =
-            std::min(fairness_credit_ + options_.fairness_share,
-                     static_cast<double>(options_.max_pump_chunks));
-      }
-      auto it = SelectLocked(now);
+    while (ready.size() < kMaxPumpChunks) {
+      auto it = SelectLocked();
       if (it == jobs_.end()) break;
       SessionState* state = sessions_.at(it->session_id).get();
       if (options_.clock != nullptr) {
@@ -489,7 +399,6 @@ std::size_t StreamScheduler::Pump() {
           total_tokens_ -= static_cast<double>(it->bytes);
         }
       }
-      state->bytes_served += static_cast<double>(it->bytes);
       if (it->usable && !it->exact) {
         // The base is on its way: its refinement becomes eligible (and is
         // pushed after it — ready keeps pick order).
@@ -624,7 +533,6 @@ std::vector<StreamChunkInfo> StreamScheduler::SnapshotQueue() const {
     info.bytes = job.bytes;
     info.utility_per_byte = job.utility_per_byte;
     info.enqueue_ms = job.enqueue_ms;
-    info.deadline_ms = job.deadline_ms;
     out.push_back(info);
   }
   return out;
@@ -642,14 +550,7 @@ std::uint64_t RegisterStreamSchedulerMetrics(
     sink.AddCounter("fc.stream.bytes_pushed", s.bytes_pushed);
     sink.AddCounter("fc.stream.first_usable_pushes", s.first_usable_pushes);
     sink.AddCounter("fc.stream.stale_chunks_dropped", s.stale_chunks_dropped);
-    sink.AddCounter("fc.stream.expired_chunks_dropped",
-                    s.expired_chunks_dropped);
     sink.AddCounter("fc.stream.budget_stalls", s.budget_stalls);
-    sink.AddCounter("fc.stream.deadline_picks", s.deadline_picks);
-    sink.AddCounter("fc.stream.deadline_promotions", s.deadline_promotions);
-    sink.AddCounter("fc.stream.deadline_misses", s.deadline_misses);
-    sink.AddCounter("fc.stream.fairness_picks", s.fairness_picks);
-    sink.AddCounter("fc.stream.fairness_promotions", s.fairness_promotions);
     sink.AddCounter("fc.stream.splits_built", s.splits_built);
     sink.AddGauge("fc.stream.queued", static_cast<double>(scheduler->queued()));
   });

@@ -14,13 +14,15 @@
 //  * Utility-per-byte allocation. Every pending USABLE chunk (a tile's
 //    first chunk: the base, or the whole blob in all-or-nothing mode)
 //    outranks every refinement. Within the usable class a chunk's rank is
-//      base_utility_weight x confidence / exact_payload_bytes
+//      confidence / exact_payload_bytes
 //    — the tile's end-state utility density, so the progressive schedule
 //    visits tiles in exactly the order the all-or-nothing schedule would,
 //    just with far fewer bytes before each tile becomes usable (the
 //    conformance property the stream harness enforces). Refinements rank
-//    refine_utility_weight x confidence / refinement_bytes. Ties break by
-//    submission order, so pull-mode pumps are fully deterministic.
+//    0.25 x confidence / refinement_bytes. Ties break by submission
+//    order, so pull-mode pumps are fully deterministic. This is the whole
+//    push policy: deadlines and per-session fairness are fetch-side
+//    concerns and live in the PrefetchScheduler alone.
 //  * Byte-rate budgets on the fc::Clock abstraction. Each session has a
 //    token bucket (bytes_per_ms, burst_bytes) and the scheduler has an
 //    optional global egress bucket shared by all sessions — the saturated
@@ -29,20 +31,11 @@
 //    oversized tiles stall but never deadlock. Without a clock (or with
 //    rate 0) budgets are unlimited.
 //  * Base-before-refinement: a refinement is ineligible until its base
-//    chunk has been pushed, and dropping a base (supersession, expiry)
-//    drops its refinement with it.
-//  * Generation supersession and expiry mirror the PrefetchScheduler:
+//    chunk has been pushed, and dropping a base drops its refinement with
+//    it.
+//  * Generation supersession mirrors the PrefetchScheduler:
 //    CancelStaleGenerations sheds chunks from publications the user has
-//    moved past; max_chunk_age_ms expires chunks that sat queued too long.
-//    Chunks submitted while no clock is wired carry kNoEnqueueStamp, NOT
-//    stamp 0 — the expiry scan skips them, so wiring a clock late cannot
-//    force-flush the backlog as infinitely old.
-//  * Deadline mode and fairness compose like the fetch-side scheduler:
-//    with deadline_aware on, chunks at or above deadline_utility_bar push
-//    earliest-deadline-first within their class (expired ones are demoted
-//    back to utility order, counted as deadline_misses); with
-//    fairness_share s, a weighted round-robin slice serves the
-//    most-underserved-by-bytes session every 1/s picks.
+//    moved past.
 //
 // Encode once, push many. A tile is a shared_ptr<const Tile>, so its
 // content never changes; the codec work of splitting it (Encode, the
@@ -84,7 +77,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -109,14 +101,12 @@ struct StreamSessionLimits {
   /// Bucket capacity (also the initial balance). Chunks larger than this
   /// are sent when the bucket is full, driving it negative.
   std::size_t burst_bytes = 256 * 1024;
-  /// Fairness weight (consulted only while fairness_share > 0).
-  double weight = 1.0;
 };
 
 struct StreamSchedulerOptions {
-  /// Time source for budgets, expiry, and deadlines; the scheduler only
-  /// ever READS it. May be wired late via SetClock — chunks submitted
-  /// before that carry kNoEnqueueStamp and are exempt from expiry.
+  /// Time source for the budgets and the TTFU histogram; the scheduler
+  /// only ever READS it. Null = unlimited budgets, and chunks carry
+  /// kNoEnqueueStamp.
   const Clock* clock = nullptr;
 
   /// Progressive two-chunk streaming (base + refinement). Off, every tile
@@ -133,31 +123,6 @@ struct StreamSchedulerOptions {
   double total_bytes_per_ms = 0.0;
   std::size_t total_burst_bytes = 1024 * 1024;
 
-  /// Utility weights of the two chunk classes (see the rank formula in the
-  /// header notes). Every usable chunk outranks every refinement
-  /// regardless of these weights.
-  double base_utility_weight = 1.0;
-  double refine_utility_weight = 0.25;
-
-  /// Queued chunks older than this (virtual ms) are dropped at pump time
-  /// as expired_chunks_dropped. 0 = never expire. Chunks stamped
-  /// kNoEnqueueStamp (submitted clockless) are exempt.
-  double max_chunk_age_ms = 0.0;
-
-  /// Earliest-deadline-first within each chunk class for chunks whose
-  /// utility-per-byte clears deadline_utility_bar (requires a clock).
-  /// Expired chunks demote back to utility order (deadline_misses).
-  bool deadline_aware = false;
-  double deadline_utility_bar = 0.0;
-
-  /// Fraction of pump picks reserved for the most-underserved-by-bytes
-  /// session (weighted by StreamSessionLimits::weight), in [0, 1]. 0
-  /// disables the fairness layer — pick order is pure class/utility.
-  double fairness_share = 0.0;
-
-  /// Chunks pushed per Pump() round at most (bounds sink work per call).
-  std::size_t max_pump_chunks = 64;
-
   /// Telemetry (optional, zero hot-path cost when null). With `metrics`,
   /// each first-usable push records fc.stream.ttfu_us — submit-to-push
   /// time on `clock`'s time base, the time-to-first-usable the PR 9 bench
@@ -168,8 +133,9 @@ struct StreamSchedulerOptions {
   telemetry::TraceSink* trace = nullptr;
 };
 
-/// Point-in-time counters. Every submitted tile either pushes its usable
-/// chunk (first_usable_pushes) or is dropped (stale / expired), and
+/// Point-in-time counters. Every enqueued chunk is either pushed or
+/// dropped stale, so chunks_pushed + stale_chunks_dropped ==
+/// chunks_enqueued unless a submission was rejected before enqueue; and
 /// chunks_pushed == base_chunks_pushed + exact_chunks_pushed.
 struct StreamSchedulerStats {
   std::uint64_t tiles_submitted = 0;
@@ -181,21 +147,11 @@ struct StreamSchedulerStats {
   /// Tiles whose FIRST chunk (base, or the whole blob) was pushed — the
   /// moment the tile became usable client-side.
   std::uint64_t first_usable_pushes = 0;
-  /// Chunks dropped by supersession, cancellation, or shutdown.
+  /// Chunks dropped by supersession, cancellation, or shutdown, plus
+  /// submissions rejected for an unknown or unregistering session.
   std::uint64_t stale_chunks_dropped = 0;
-  /// Chunks dropped by the max_chunk_age_ms scan.
-  std::uint64_t expired_chunks_dropped = 0;
   /// Pump rounds that found queued work but pushed nothing for budget.
   std::uint64_t budget_stalls = 0;
-  /// Deadline mode: EDF picks, picks that jumped a strictly
-  /// higher-utility chunk, and chunks reached past their deadline.
-  std::uint64_t deadline_picks = 0;
-  std::uint64_t deadline_promotions = 0;
-  std::uint64_t deadline_misses = 0;
-  /// Fairness slice: picks, and picks that jumped a strictly
-  /// higher-utility chunk.
-  std::uint64_t fairness_picks = 0;
-  std::uint64_t fairness_promotions = 0;
   /// Progressive splits computed (memo misses). A tile object submitted
   /// any number of times is split once, unless its first submissions
   /// race each other.
@@ -212,23 +168,16 @@ struct StreamChunkInfo {
   double utility_per_byte = 0.0;
   /// Virtual submit time; kNoEnqueueStamp when submitted clockless.
   double enqueue_ms = -1.0;
-  double deadline_ms = std::numeric_limits<double>::infinity();
 };
 
 /// Process-wide continuous push channel. One instance serves every session
 /// of a SessionManager; server::PushStream is the per-session facade.
 class StreamScheduler {
  public:
-  /// Enqueue stamp of chunks submitted while no clock was wired. A
-  /// sentinel, NOT virtual time 0: the expiry scan skips these instead of
-  /// treating them as infinitely old (which would force-flush the whole
-  /// backlog the moment a clock appears). Same convention as
-  /// PrefetchScheduler::kNoEnqueueStamp.
+  /// Enqueue stamp of chunks submitted without a clock: a sentinel, NOT
+  /// virtual time 0, so such chunks never record a TTFU sample. Same
+  /// convention as PrefetchScheduler::kNoEnqueueStamp.
   static constexpr double kNoEnqueueStamp = -1.0;
-
-  /// Deadline for submissions without one: never urgent.
-  static constexpr double kNoDeadline =
-      std::numeric_limits<double>::infinity();
 
   /// Receives one pushed chunk: the decoded payload at that fidelity
   /// (`exact` false = coarse base, true = exact tile) and the publish
@@ -280,28 +229,21 @@ class StreamScheduler {
   void CancelStaleGenerations(std::uint64_t session_id,
                               std::uint64_t live_generation);
 
-  /// Wires (or replaces) the time source. Chunks already queued keep their
-  /// stamps — including the clockless sentinel, which stays exempt from
-  /// expiry. Budgets start metering from the next pump.
-  void SetClock(const Clock* clock);
-
   /// Splits `tile` per the progressive codec (or encodes it whole in
   /// all-or-nothing mode) — or reuses the memoized split of this tile
   /// object — and queues the chunks for `session_id`.
-  /// `confidence` feeds the utility rank; `deadline_ms` is an absolute
-  /// virtual time (kNoDeadline = none). Unknown/unregistering sessions
+  /// `confidence` feeds the utility rank. Unknown/unregistering sessions
   /// drop the submission as stale. With an executor, submission kicks the
   /// self-pump. `trace_id` (0 = unsampled) attributes the resulting chunk
   /// pushes to the publishing request's trace.
   void SubmitTile(std::uint64_t session_id, const tiles::TileKey& key,
                   const tiles::TilePtr& tile, std::uint64_t generation,
-                  double confidence, double deadline_ms = kNoDeadline,
-                  std::uint64_t trace_id = 0);
+                  double confidence, std::uint64_t trace_id = 0);
 
-  /// One bounded pump round: refills buckets from the clock, expires stale
-  /// chunks, then pushes up to max_pump_chunks budget-eligible chunks in
-  /// class/utility order. Returns the number pushed. This is the pull-mode
-  /// hook; safe to call concurrently with the self-pump.
+  /// One bounded pump round: refills buckets from the clock, then pushes
+  /// up to 64 budget-eligible chunks in class/utility order. Returns the
+  /// number pushed. This is the pull-mode hook; safe to call concurrently
+  /// with the self-pump.
   std::size_t Pump();
 
   /// Pumps until no further progress (budget-blocked or empty). Returns
@@ -364,7 +306,6 @@ class StreamScheduler {
     std::size_t bytes = 0;
     double utility_per_byte = 0.0;
     double enqueue_ms = kNoEnqueueStamp;
-    double deadline_ms = kNoDeadline;
     std::uint64_t seq = 0;  ///< Submission order; deterministic tie-break.
     std::uint64_t trace_id = 0;  ///< Publishing request's trace (0 = off).
     tiles::TilePtr payload;  ///< Decoded at this chunk's fidelity.
@@ -377,10 +318,8 @@ class StreamScheduler {
     /// larger than the burst (sent at full bucket).
     double tokens = 0.0;
     /// Virtual time of the last refill; kNoEnqueueStamp before the first
-    /// metered pump (no retroactive credit when a clock appears late).
+    /// metered pump (no credit for time before the session's first pump).
     double last_refill_ms = kNoEnqueueStamp;
-    /// Cumulative pushed bytes / weight drives the fairness slice.
-    double bytes_served = 0.0;
     std::size_t in_flight = 0;  ///< Pushes handed to the sink, not settled.
     bool unregistering = false;
   };
@@ -402,17 +341,13 @@ class StreamScheduler {
   /// clock. Caller holds mu_.
   void RefillBudgetsLocked(double now_ms);
 
-  /// Drops queued chunks older than max_chunk_age_ms (sentinel-stamped
-  /// chunks exempt). Caller holds mu_.
-  void ExpireLocked(double now_ms);
-
   /// Whether `job` may be pushed right now (session live, base pushed,
   /// both buckets can cover it). Caller holds mu_.
   bool EligibleLocked(const ChunkJob& job, const SessionState& state) const;
 
-  /// Selects the next chunk to push per the class/deadline/fairness/
-  /// utility order, or jobs_.end(). Caller holds mu_.
-  std::list<ChunkJob>::iterator SelectLocked(double now_ms);
+  /// The best eligible chunk in class/utility/submission order, or
+  /// jobs_.end(). Caller holds mu_.
+  std::list<ChunkJob>::iterator SelectLocked();
 
   /// Removes `it` and, when it gates a refinement that can now never
   /// apply, that refinement too. `counter` classifies the drop. Caller
@@ -446,9 +381,6 @@ class StreamScheduler {
   std::uint64_t seq_counter_ = 0;
   double total_tokens_ = 0.0;
   double total_last_refill_ms_ = kNoEnqueueStamp;
-  /// Banked fairness picks (fractional): every pick adds fairness_share,
-  /// a served fairness pick subtracts 1. Capped at one pump round.
-  double fairness_credit_ = 0.0;
   bool pump_armed_ = false;  ///< A self-pump task is queued or running.
   std::size_t in_flight_pushes_ = 0;
   bool shutdown_ = false;

@@ -4,11 +4,11 @@
 // The ForeCacheServer owns one PushStream per session when streaming is
 // enabled. The prefetch scheduler's completed fills are handed to Accept
 // instead of landing in the prefetch region directly; the stream submits
-// them to the StreamScheduler (tagged with the publish confidence and the
-// session's think deadline), which splits them into progressive chunks and
-// pushes each chunk — under this session's byte-rate budget — through the
-// delivery callback back into the region: a coarse usable tile first, the
-// exact payload when its refinement arrives.
+// them to the StreamScheduler (tagged with the publish confidence), which
+// splits them into progressive chunks and pushes each chunk — under this
+// session's byte-rate budget — through the delivery callback back into the
+// region: a coarse usable tile first, the exact payload when its
+// refinement arrives.
 //
 // BeginGeneration is the supersession point: a new request re-plans the
 // region, so queued chunks from older generations are shed immediately
@@ -65,14 +65,12 @@ class PushStream {
   PushStream& operator=(const PushStream&) = delete;
 
   /// Starts streaming for publish `generation`: records the plan's per-key
-  /// confidences (the utility input) and the session's think deadline
-  /// (absolute virtual ms; kNoDeadline = none), and sheds queued chunks
-  /// from older generations.
+  /// confidences (the utility input) and sheds queued chunks from older
+  /// generations.
   /// `trace_id` (0 = unsampled) tags this generation's chunk submissions so
   /// the stream scheduler records stream.push spans for sampled requests.
   void BeginGeneration(std::uint64_t generation,
                        const std::vector<core::PrefetchCandidate>& plan,
-                       double deadline_ms = core::StreamScheduler::kNoDeadline,
                        std::uint64_t trace_id = 0);
 
   /// Submits one completed fill for streaming. Fills from generations
@@ -103,7 +101,6 @@ class PushStream {
 
   mutable std::mutex mu_;  ///< Guards the plan below.
   std::uint64_t generation_ = 0;
-  double deadline_ms_ = core::StreamScheduler::kNoDeadline;
   std::uint64_t trace_id_ = 0;
   std::unordered_map<tiles::TileKey, double, tiles::TileKeyHash> confidences_;
 

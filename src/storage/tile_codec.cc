@@ -233,6 +233,33 @@ Status DecodePayload(Reader* reader, TileEncoding encoding, double quant_step,
   return Status::Corruption("unknown tile encoding");
 }
 
+/// Fewest payload bytes one cell can take in `encoding` (a varint is at
+/// least one byte).
+std::size_t MinCellBytes(TileEncoding encoding) {
+  switch (encoding) {
+    case TileEncoding::kRawF64:
+      return sizeof(double);
+    case TileEncoding::kFloat32:
+      return sizeof(float);
+    case TileEncoding::kDeltaVarint:
+      return 1;
+  }
+  return 1;
+}
+
+/// Whether width x height x nattr cells of at least `cell_bytes` each can
+/// fit in `available` bytes, without forming the (possibly overflowing)
+/// product. Dimensions must be positive.
+bool PayloadFits(std::int64_t width, std::int64_t height, std::uint32_t nattr,
+                 std::size_t cell_bytes, std::size_t available) {
+  std::uint64_t cells = available / cell_bytes;  // most cells the bytes hold
+  if (static_cast<std::uint64_t>(width) > cells) return false;
+  cells /= static_cast<std::uint64_t>(width);
+  if (static_cast<std::uint64_t>(height) > cells) return false;
+  cells /= static_cast<std::uint64_t>(height);
+  return nattr <= cells;
+}
+
 /// Reads and validates magic | version | encoding. Checked before the
 /// checksum so a format-v1 blob fails as "unsupported tile version", not as
 /// phantom corruption.
@@ -338,6 +365,13 @@ Result<tiles::Tile> TileCodec::Decode(const std::string& bytes) {
   double quant_step = 0.0;
   if (encoding == TileEncoding::kDeltaVarint) {
     FC_ASSIGN_OR_RETURN(quant_step, reader.ReadValue<double>());
+  }
+  // The header's dimensions size the allocation below: reject any the
+  // payload cannot possibly back before trusting them.
+  const std::size_t available =
+      reader.pos() < body_len ? body_len - reader.pos() : 0;
+  if (!PayloadFits(width, height, nattr, MinCellBytes(encoding), available)) {
+    return Status::Corruption("tile dimensions exceed payload");
   }
   auto tile_result = tiles::Tile::Make(tiles::TileKey{level, x, y}, width,
                                        height, std::move(names));

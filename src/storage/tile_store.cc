@@ -386,6 +386,11 @@ DiskTileStore::LoadPackedExtent() const {
   if (!ReadPod(header, &pos, &count)) {
     return Status::Corruption("packed extent truncated: " + path);
   }
+  // A hostile count must not size the reservation: the index can hold no
+  // more entries than its bytes encode.
+  if (count > (header.size() - pos) / kPackedEntryBytes) {
+    return Status::Corruption("packed extent index truncated: " + path);
+  }
   auto packed = std::make_shared<PackedExtent>();
   packed->entries.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -398,7 +403,7 @@ DiskTileStore::LoadPackedExtent() const {
       return Status::Corruption("packed extent index truncated: " + path);
     }
     e.key = tiles::TileKey{static_cast<int>(level), x, y};
-    if (e.offset + e.length > header.size()) {
+    if (e.offset > header.size() || e.length > header.size() - e.offset) {
       return Status::Corruption("packed extent blob out of bounds: " + path);
     }
     packed->index.emplace(e.key, packed->entries.size());

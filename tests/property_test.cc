@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <set>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/move.h"
@@ -404,6 +406,83 @@ TEST(CodecPropertyTest, ChecksumRejectsFlippedBytesEverywhere) {
                     .status()
                     .IsCorruption());
     EXPECT_TRUE(storage::TileCodec::Decode(bytes + "x").status().IsCorruption());
+  }
+}
+
+namespace {
+
+// Offsets of the header dimension fields in a format-v2 blob: magic (4) |
+// version (4) | encoding (1) | level (4) | x (8) | y (8) | width | height.
+constexpr std::size_t kWidthOffset = 29;
+constexpr std::size_t kHeightOffset = kWidthOffset + sizeof(std::int64_t);
+
+// `blob` with its header dimensions replaced and the trailing FNV-1a
+// checksum recomputed, so only the dimension checks can reject it.
+std::string WithDims(std::string blob, std::int64_t width,
+                     std::int64_t height) {
+  std::memcpy(&blob[kWidthOffset], &width, sizeof(width));
+  std::memcpy(&blob[kHeightOffset], &height, sizeof(height));
+  const std::size_t body_len = blob.size() - sizeof(std::uint64_t);
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i = 0; i < body_len; ++i) {
+    h ^= static_cast<unsigned char>(blob[i]);
+    h *= 1099511628211ull;
+  }
+  std::memcpy(&blob[body_len], &h, sizeof(h));
+  return blob;
+}
+
+}  // namespace
+
+// A checksummed blob whose header claims more cells than its payload holds
+// is Corruption, never an allocation sized from the header (at 2^31 x 2^31
+// that allocation throws std::length_error; at 2^32 x 2^32 width * height
+// overflows). Checked for every encoding, both decoded alone and as the
+// base a refinement is reassembled onto.
+TEST(CodecPropertyTest, HostileHeaderDimsAreCorruption) {
+  Rng rng(107);
+  std::vector<std::pair<std::int64_t, std::int64_t>> dims = {
+      {std::int64_t{1} << 31, std::int64_t{1} << 31},
+      {std::int64_t{1} << 32, std::int64_t{1} << 32},
+      {std::int64_t{1} << 62, 2},
+      {1, std::numeric_limits<std::int64_t>::max()},
+      {3, 2},  // one row more than the 2 x 2 payload backs
+  };
+  for (int trial = 0; trial < 20; ++trial) {
+    const int width_log = rng.UniformInt(0, 62);
+    const int height_log = rng.UniformInt(std::max(0, 16 - width_log), 62);
+    dims.emplace_back(
+        (std::int64_t{1} << width_log) + rng.UniformInt(0, 3),
+        (std::int64_t{1} << height_log) + rng.UniformInt(0, 3));
+  }
+  for (auto encoding :
+       {storage::TileEncoding::kRawF64, storage::TileEncoding::kFloat32,
+        storage::TileEncoding::kDeltaVarint}) {
+    storage::TileCodec codec({encoding, 1e-4, 0.5});
+    auto tile = tiles::Tile::Make({2, 1, 1}, 2, 2, {"a", "b"});
+    ASSERT_TRUE(tile.ok());
+    for (std::size_t a = 0; a < 2; ++a) {
+      for (auto& v : tile->MutableAttrData(a)) v = rng.Gaussian(0, 10);
+    }
+    const std::string blob = codec.Encode(*tile);
+    const auto pair = codec.EncodeProgressive(*tile);
+    ASSERT_TRUE(storage::TileCodec::Decode(WithDims(blob, 2, 2)).ok());
+    ASSERT_TRUE(storage::TileCodec::Reassemble(WithDims(pair.base, 2, 2),
+                                               pair.refinement)
+                    .ok());
+    for (const auto& [width, height] : dims) {
+      EXPECT_TRUE(storage::TileCodec::Decode(WithDims(blob, width, height))
+                      .status()
+                      .IsCorruption())
+          << storage::TileEncodingName(encoding) << " " << width << " x "
+          << height;
+      EXPECT_TRUE(storage::TileCodec::Reassemble(
+                      WithDims(pair.base, width, height), pair.refinement)
+                      .status()
+                      .IsCorruption())
+          << storage::TileEncodingName(encoding) << " base " << width
+          << " x " << height;
+    }
   }
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include "storage/tile_codec.h"
 #include "storage/tile_store.h"
@@ -169,6 +174,59 @@ TEST(DiskTileStoreTest, FetchMissingIsNotFound) {
   auto store = DiskTileStore::Open(dir, spec);
   ASSERT_TRUE(store.ok());
   EXPECT_TRUE((*store)->Fetch({0, 0, 0}).status().IsNotFound());
+  std::filesystem::remove_all(dir);
+}
+
+// A hostile extent.fcpk only loses the packed fast path: an index count
+// no file could hold (it must not size a reservation) and a blob bound
+// whose offset + length wraps past 2^64 are both rejected, Open succeeds,
+// and per-tile files serve.
+TEST(DiskTileStoreTest, HostilePackedIndexFallsBackToTileFiles) {
+  auto pyramid = SmallPyramid();
+  const std::string dir = testing::TempDir() + "/fc_disk_hostile_extent";
+  // extent.fcpk: magic (4) | version (4) | count (8), then per entry
+  // level (4) | x (8) | y (8) | offset (8) | length (8).
+  constexpr std::size_t kCountOffset = 8;
+  constexpr std::size_t kFirstOffsetField = 16 + 4 + 8 + 8;
+  auto patch = [](std::string* bytes, std::size_t at, std::uint64_t value) {
+    std::memcpy(&(*bytes)[at], &value, sizeof(value));
+  };
+  const std::vector<std::pair<std::size_t, std::uint64_t>> hostile = {
+      {kCountOffset, std::uint64_t{1} << 62},
+      {kFirstOffsetField, ~std::uint64_t{0} - 7},
+  };
+  for (const auto& [at, value] : hostile) {
+    std::filesystem::remove_all(dir);
+    std::string extent_path;
+    {
+      auto writer = DiskTileStore::Open(dir, pyramid->spec());
+      ASSERT_TRUE(writer.ok());
+      ASSERT_TRUE((*writer)->SavePyramid(*pyramid).ok());
+      extent_path = (*writer)->PackedExtentPath();
+    }
+    std::string bytes;
+    {
+      std::ifstream in(extent_path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_GT(bytes.size(), kFirstOffsetField + sizeof(std::uint64_t));
+    patch(&bytes, at, value);
+    {
+      std::ofstream out(extent_path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    auto store = DiskTileStore::Open(dir, pyramid->spec());
+    ASSERT_TRUE(store.ok()) << store.status();
+    EXPECT_FALSE((*store)->packed_loaded()) << "patched byte " << at;
+    for (const auto& key : pyramid->spec().AllKeys()) {
+      auto tile = (*store)->Fetch(key);
+      ASSERT_TRUE(tile.ok()) << key.ToString() << ": " << tile.status();
+      auto original = pyramid->GetTile(key);
+      ASSERT_TRUE(original.ok());
+      EXPECT_EQ((*tile)->AttrData(0), (*original)->AttrData(0));
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 

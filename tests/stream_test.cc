@@ -2,8 +2,7 @@
 // (core/stream_scheduler.h + server/push_stream.h).
 //
 // Deterministic pull-mode goldens pin the scheduling order (class before
-// utility, byte budgets, supersession, expiry, deadlines, fairness) on a
-// SimClock; a randomized property checks the progressive schedule is
+// utility, byte budgets, supersession) on a SimClock; a randomized property checks the progressive schedule is
 // observationally equivalent to the all-or-nothing one (same final tile
 // bits, first-usable chunk never later); the split-memo tests pin that a
 // tile object is split once and that the memo changes no pushed bit; and
@@ -247,149 +246,6 @@ TEST(StreamSchedulerTest, StaleGenerationsShedQueuedPairs) {
     EXPECT_EQ(delivery.generation, 2u);
     EXPECT_EQ(delivery.key, (tiles::TileKey{1, 2, 0}));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Clockless-sentinel regression (the kNoEnqueueStamp fix): chunks submitted
-// before a clock is wired must NOT be stamped "time 0" — wiring a clock
-// late would otherwise make the whole backlog infinitely old and the
-// expiry scan would force-flush it.
-
-TEST(StreamSchedulerTest, LateClockCannotExpireSentinelStampedChunks) {
-  StreamSchedulerOptions options;
-  options.codec.progressive_base_step = 8.0;
-  options.max_chunk_age_ms = 50.0;
-  StreamScheduler scheduler(nullptr, options);  // no clock yet
-  std::vector<Delivery> log;
-  const std::uint64_t session =
-      scheduler.RegisterSession(9, {}, Record(&log, 9));
-
-  scheduler.SubmitTile(session, {1, 0, 0}, GaussianTile({1, 0, 0}, 5), 1, 0.9);
-  for (const auto& chunk : scheduler.SnapshotQueue()) {
-    EXPECT_EQ(chunk.enqueue_ms, StreamScheduler::kNoEnqueueStamp);
-  }
-
-  // Wire the clock LATE, already deep into virtual time. The sentinel
-  // chunks are of unknown age, not age 10000: nothing may expire.
-  SimClock clock;
-  clock.AdvanceMillis(10'000.0);
-  scheduler.SetClock(&clock);
-  EXPECT_EQ(scheduler.Flush(), 2u);
-  EXPECT_EQ(scheduler.Stats().expired_chunks_dropped, 0u);
-  EXPECT_EQ(log.size(), 2u);
-
-  // Control: a chunk stamped by the live clock DOES expire past the age
-  // cap — and its gated refinement is dropped with it.
-  scheduler.SubmitTile(session, {1, 1, 0}, GaussianTile({1, 1, 0}, 6), 1, 0.9);
-  clock.AdvanceMillis(51.0);
-  EXPECT_EQ(scheduler.Flush(), 0u);
-  EXPECT_EQ(scheduler.Stats().expired_chunks_dropped, 2u);
-  EXPECT_EQ(scheduler.queued(), 0u);
-  EXPECT_EQ(log.size(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Deadline mode and fairness compose with the class/utility order the same
-// way they do in the fetch-side scheduler.
-
-TEST(StreamSchedulerTest, DeadlineModeServesUrgentChunksFirst) {
-  SimClock clock;
-  StreamSchedulerOptions options;
-  options.clock = &clock;
-  options.codec.progressive_base_step = 8.0;
-  options.deadline_aware = true;
-  StreamScheduler scheduler(nullptr, options);
-  std::vector<Delivery> log;
-  const std::uint64_t session =
-      scheduler.RegisterSession(2, {}, Record(&log, 2));
-
-  // High-utility tile without a deadline vs low-utility tile due at 5ms:
-  // urgency outranks utility within each class.
-  const tiles::TileKey calm{1, 0, 0}, urgent{1, 1, 0};
-  scheduler.SubmitTile(session, calm, GaussianTile(calm, 1), 1, 0.9);
-  scheduler.SubmitTile(session, urgent, GaussianTile(urgent, 2), 1, 0.1,
-                       /*deadline_ms=*/5.0);
-  EXPECT_EQ(scheduler.Flush(), 4u);
-  ASSERT_EQ(log.size(), 4u);
-  EXPECT_EQ(log[0].key, urgent);
-  EXPECT_FALSE(log[0].exact);
-  EXPECT_EQ(log[1].key, calm);
-  EXPECT_FALSE(log[1].exact);
-  EXPECT_EQ(log[2].key, urgent);  // the refinement inherits the deadline
-  EXPECT_TRUE(log[2].exact);
-  EXPECT_EQ(log[3].key, calm);
-  auto stats = scheduler.Stats();
-  EXPECT_GE(stats.deadline_picks, 2u);
-  EXPECT_GE(stats.deadline_promotions, 2u);
-  EXPECT_EQ(stats.deadline_misses, 0u);
-}
-
-TEST(StreamSchedulerTest, ExpiredDeadlinesDemoteBackToUtilityOrder) {
-  SimClock clock;
-  clock.AdvanceMillis(10.0);
-  StreamSchedulerOptions options;
-  options.clock = &clock;
-  options.codec.progressive_base_step = 8.0;
-  options.deadline_aware = true;
-  StreamScheduler scheduler(nullptr, options);
-  std::vector<Delivery> log;
-  const std::uint64_t session =
-      scheduler.RegisterSession(2, {}, Record(&log, 2));
-
-  // The "urgent" tile's deadline (5ms) already passed at now=10: it must
-  // NOT jump the queue — overload cannot consume the urgency budget.
-  const tiles::TileKey calm{1, 0, 0}, late{1, 1, 0};
-  scheduler.SubmitTile(session, calm, GaussianTile(calm, 1), 1, 0.9);
-  scheduler.SubmitTile(session, late, GaussianTile(late, 2), 1, 0.1,
-                       /*deadline_ms=*/5.0);
-  EXPECT_EQ(scheduler.Flush(), 4u);
-  ASSERT_EQ(log.size(), 4u);
-  EXPECT_EQ(log[0].key, calm);  // pure utility order
-  EXPECT_EQ(log[1].key, late);
-  EXPECT_GE(scheduler.Stats().deadline_misses, 1u);
-  EXPECT_EQ(scheduler.Stats().deadline_picks, 0u);
-}
-
-TEST(StreamSchedulerTest, FairnessShareServesUnderservedSession) {
-  auto run = [](double share) {
-    StreamSchedulerOptions options;
-    options.codec.progressive_base_step = 8.0;
-    options.fairness_share = share;
-    StreamScheduler scheduler(nullptr, options);
-    std::vector<Delivery> log;
-    const std::uint64_t rich =
-        scheduler.RegisterSession(1, {}, Record(&log, 1));
-    const std::uint64_t poor =
-        scheduler.RegisterSession(2, {}, Record(&log, 2));
-    for (int i = 0; i < 3; ++i) {
-      tiles::TileKey key{1, i, 0};
-      scheduler.SubmitTile(rich, key, GaussianTile(key, 10 + i), 1,
-                           0.9 - 0.1 * i);
-      tiles::TileKey poor_key{1, i, 1};
-      scheduler.SubmitTile(poor, poor_key, GaussianTile(poor_key, 20 + i), 1,
-                           0.1);
-    }
-    EXPECT_EQ(scheduler.Flush(), 12u);
-    return std::make_pair(log, scheduler.Stats());
-  };
-
-  // Control: utility order alone starves the low-confidence session's
-  // bases behind all three of the winner's.
-  auto [control, control_stats] = run(0.0);
-  ASSERT_GE(control.size(), 3u);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(control[i].session, 1u);
-  EXPECT_EQ(control_stats.fairness_picks, 0u);
-
-  // A 50% share interleaves: the underserved-by-bytes session gets every
-  // other pick even though it always loses the utility vote.
-  auto [shared, shared_stats] = run(0.5);
-  ASSERT_GE(shared.size(), 4u);
-  EXPECT_EQ(shared[0].session, 1u);
-  EXPECT_EQ(shared[1].session, 2u);
-  EXPECT_EQ(shared[2].session, 1u);
-  EXPECT_EQ(shared[3].session, 2u);
-  EXPECT_GT(shared_stats.fairness_picks, 0u);
-  EXPECT_GT(shared_stats.fairness_promotions, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -789,11 +645,9 @@ TEST(StreamSchedulerStressTest, SessionChurnUnderConcurrentSubmitAndPump) {
   // Every enqueued chunk was either pushed or accounted as dropped (the
   // stale counter also covers submissions rejected before enqueue, so it
   // bounds from above).
-  EXPECT_LE(stats.chunks_pushed + stats.expired_chunks_dropped,
-            stats.chunks_enqueued);
+  EXPECT_LE(stats.chunks_pushed, stats.chunks_enqueued);
   EXPECT_LE(stats.chunks_enqueued,
-            stats.chunks_pushed + stats.stale_chunks_dropped +
-                stats.expired_chunks_dropped);
+            stats.chunks_pushed + stats.stale_chunks_dropped);
   EXPECT_EQ(scheduler.queued(), 0u);
 }
 
