@@ -56,18 +56,31 @@ void BM_MarkovDistribution(benchmark::State& state) {
 }
 BENCHMARK(BM_MarkovDistribution);
 
-void BM_PhaseClassifierPredict(benchmark::State& state) {
-  core::PhaseClassifierOptions options;
-  options.max_training_rows = 400;
-  auto classifier = core::PhaseClassifier::Train(Study().traces, options);
+void PredictLoop(benchmark::State& state, const core::PhaseClassifier& classifier) {
   core::TileRequest request;
   request.tile = tiles::TileKey{3, 2, 1};
   request.move = core::Move::kZoomInNW;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(classifier->Predict(request));
+    benchmark::DoNotOptimize(classifier.Predict(request));
   }
 }
+
+// A classifier on a 400-row subsample, as the LOOCV experiments train it.
+void BM_PhaseClassifierPredict(benchmark::State& state) {
+  core::PhaseClassifierOptions options;
+  options.max_training_rows = 400;
+  auto classifier = core::PhaseClassifier::Train(Study().traces, options);
+  PredictLoop(state, *classifier);
+}
 BENCHMARK(BM_PhaseClassifierPredict);
+
+// The classifier that serving runs: every row of the study traces, as
+// SessionManager deployments and perfbench train it.
+void BM_PhaseClassifierPredictServing(benchmark::State& state) {
+  auto classifier = core::PhaseClassifier::Train(Study().traces);
+  PredictLoop(state, *classifier);
+}
+BENCHMARK(BM_PhaseClassifierPredictServing);
 
 void BM_LruCachePutGet(benchmark::State& state) {
   const auto& pyramid = *Study().dataset.pyramid;

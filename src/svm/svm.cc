@@ -1,6 +1,7 @@
 #include "svm/svm.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
@@ -9,20 +10,64 @@ namespace fc::svm {
 
 namespace {
 
-// Full kernel matrix; problems here are small (<= a few thousand rows).
-std::vector<std::vector<double>> BuildKernelMatrix(
-    const std::vector<std::vector<double>>& x, const KernelParams& kernel) {
-  std::size_t n = x.size();
-  std::vector<std::vector<double>> k(n, std::vector<double>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      double v = EvaluateKernel(kernel, x[i], x[j]);
-      k[i][j] = v;
-      k[j][i] = v;
+// Interns rows by exact bit pattern: two rows share an id iff every
+// element is bit-identical, so a row's id stands in for its value.
+class DistinctRows {
+ public:
+  std::size_t Intern(const std::vector<double>& row) {
+    auto [it, inserted] = ids_.try_emplace(row, rows_.size());
+    if (inserted) rows_.push_back(row);
+    return it->second;
+  }
+
+  /// The distinct rows, in first-seen order (row id = index).
+  std::vector<std::vector<double>> Release() && { return std::move(rows_); }
+
+ private:
+  struct BitLess {
+    bool operator()(const std::vector<double>& a,
+                    const std::vector<double>& b) const {
+      return std::lexicographical_compare(
+          a.begin(), a.end(), b.begin(), b.end(), [](double u, double v) {
+            return std::bit_cast<std::uint64_t>(u) < std::bit_cast<std::uint64_t>(v);
+          });
+    }
+  };
+
+  std::map<std::vector<double>, std::size_t, BitLess> ids_;
+  std::vector<std::vector<double>> rows_;
+};
+
+// Kernel matrix over the distinct rows of a training set: K(x_i, x_j) is
+// values[ids[i] * m + ids[j]]. Phase-feature training sets have thousands
+// of rows but only a few hundred distinct ones; all-distinct rows make it
+// the dense n x n matrix. The kernels are exactly symmetric, so every
+// entry equals the dense matrix's bit for bit.
+struct KernelMatrix {
+  std::vector<std::size_t> ids;  // training row -> distinct row
+  std::size_t m = 0;
+  std::vector<double> values;
+
+  KernelMatrix(const std::vector<std::vector<double>>& x, const KernelParams& kernel) {
+    DistinctRows distinct;
+    ids.reserve(x.size());
+    for (const auto& row : x) ids.push_back(distinct.Intern(row));
+    const auto d = std::move(distinct).Release();
+    m = d.size();
+    values.resize(m * m);
+    for (std::size_t a = 0; a < m; ++a) {
+      for (std::size_t b = a; b < m; ++b) {
+        double v = EvaluateKernel(kernel, d[a], d[b]);
+        values[a * m + b] = v;
+        values[b * m + a] = v;
+      }
     }
   }
-  return k;
-}
+
+  /// Row of training row i, indexed by distinct id.
+  const double* Row(std::size_t i) const { return &values[ids[i] * m]; }
+  double operator()(std::size_t i, std::size_t j) const { return Row(i)[ids[j]]; }
+};
 
 }  // namespace
 
@@ -49,7 +94,7 @@ Result<BinarySvm> BinarySvm::Train(const std::vector<std::vector<double>>& x,
   const std::size_t n = x.size();
   const double c = options.c;
   const double tol = options.tolerance;
-  auto kmat = BuildKernelMatrix(x, options.kernel);
+  const KernelMatrix kmat(x, options.kernel);
   std::vector<double> alpha(n, 0.0);
   double b = 0.0;
   Rng rng(options.seed);
@@ -86,7 +131,7 @@ Result<BinarySvm> BinarySvm::Train(const std::vector<std::vector<double>>& x,
         hi = std::min(c, ai_old + aj_old);
       }
       if (lo >= hi) continue;
-      double eta = 2.0 * kmat[i][j] - kmat[i][i] - kmat[j][j];
+      double eta = 2.0 * kmat(i, j) - kmat(i, i) - kmat(j, j);
       if (eta >= 0.0) continue;
 
       double aj = aj_old - y[j] * (ei - ej) / eta;
@@ -97,10 +142,10 @@ Result<BinarySvm> BinarySvm::Train(const std::vector<std::vector<double>>& x,
       alpha[i] = ai;
       alpha[j] = aj;
 
-      double b1 = b - ei - y[i] * (ai - ai_old) * kmat[i][i] -
-                  y[j] * (aj - aj_old) * kmat[i][j];
-      double b2 = b - ej - y[i] * (ai - ai_old) * kmat[i][j] -
-                  y[j] * (aj - aj_old) * kmat[j][j];
+      double b1 = b - ei - y[i] * (ai - ai_old) * kmat(i, i) -
+                  y[j] * (aj - aj_old) * kmat(i, j);
+      double b2 = b - ej - y[i] * (ai - ai_old) * kmat(i, j) -
+                  y[j] * (aj - aj_old) * kmat(j, j);
       double b_new;
       if (ai > 0.0 && ai < c) b_new = b1;
       else if (aj > 0.0 && aj < c) b_new = b2;
@@ -109,8 +154,11 @@ Result<BinarySvm> BinarySvm::Train(const std::vector<std::vector<double>>& x,
       double dai = (ai - ai_old) * y[i];
       double daj = (aj - aj_old) * y[j];
       double db = b_new - b;
+      const double* ki = kmat.Row(i);
+      const double* kj = kmat.Row(j);
       for (std::size_t kidx = 0; kidx < n; ++kidx) {
-        f[kidx] += dai * kmat[i][kidx] + daj * kmat[j][kidx] + db;
+        std::size_t id = kmat.ids[kidx];
+        f[kidx] += dai * ki[id] + daj * kj[id] + db;
       }
       b = b_new;
 
@@ -154,7 +202,9 @@ Result<MulticlassSvm> MulticlassSvm::Train(const std::vector<std::vector<double>
   }
 
   MulticlassSvm model;
+  model.kernel_ = options.kernel;
   model.classes_ = classes;
+  DistinctRows pool;
   for (std::size_t a = 0; a < classes.size(); ++a) {
     for (std::size_t bp = a + 1; bp < classes.size(); ++bp) {
       std::vector<std::vector<double>> xs;
@@ -169,32 +219,60 @@ Result<MulticlassSvm> MulticlassSvm::Train(const std::vector<std::vector<double>
         }
       }
       FC_ASSIGN_OR_RETURN(auto svm, BinarySvm::Train(xs, ys, options));
-      model.machines_.push_back(
-          PairwiseMachine{classes[a], classes[bp], std::move(svm)});
+      PairwiseMachine machine{classes[a], classes[bp], svm.bias(),
+                              svm.coefficients(), {}};
+      machine.support.reserve(svm.num_support_vectors());
+      for (const auto& sv : svm.support_vectors()) {
+        machine.support.push_back(pool.Intern(sv));
+      }
+      model.machines_.push_back(std::move(machine));
     }
   }
+  model.pool_ = std::move(pool).Release();
   return model;
 }
 
-std::map<int, int> MulticlassSvm::Votes(const std::vector<double>& x) const {
+std::vector<double> MulticlassSvm::DecisionValues(const std::vector<double>& x) const {
+  std::vector<double> k(pool_.size());
+  for (std::size_t p = 0; p < pool_.size(); ++p) {
+    k[p] = EvaluateKernel(kernel_, pool_[p], x);
+  }
+  // Same terms in the same order as BinarySvm::DecisionValue.
+  std::vector<double> decisions;
+  decisions.reserve(machines_.size());
+  for (const auto& m : machines_) {
+    double f = m.bias;
+    for (std::size_t i = 0; i < m.coefficients.size(); ++i) {
+      f += m.coefficients[i] * k[m.support[i]];
+    }
+    decisions.push_back(f);
+  }
+  return decisions;
+}
+
+std::map<int, int> MulticlassSvm::CountVotes(const std::vector<double>& decisions) const {
   std::map<int, int> votes;
   for (int c : classes_) votes[c] = 0;
-  for (const auto& m : machines_) {
-    int winner = m.svm.Predict(x) == 1 ? m.positive_class : m.negative_class;
-    ++votes[winner];
+  for (std::size_t i = 0; i < machines_.size(); ++i) {
+    const auto& m = machines_[i];
+    ++votes[decisions[i] >= 0.0 ? m.positive_class : m.negative_class];
   }
   return votes;
 }
 
+std::map<int, int> MulticlassSvm::Votes(const std::vector<double>& x) const {
+  return CountVotes(DecisionValues(x));
+}
+
 int MulticlassSvm::Predict(const std::vector<double>& x) const {
   FC_CHECK_MSG(!machines_.empty(), "predict on untrained multiclass svm");
-  auto votes = Votes(x);
+  auto decisions = DecisionValues(x);
+  auto votes = CountVotes(decisions);
   // Tie-break by summed signed margins toward each class.
   std::map<int, double> margin;
-  for (const auto& m : machines_) {
-    double d = m.svm.DecisionValue(x);
-    margin[m.positive_class] += d;
-    margin[m.negative_class] -= d;
+  for (std::size_t i = 0; i < machines_.size(); ++i) {
+    margin[machines_[i].positive_class] += decisions[i];
+    margin[machines_[i].negative_class] -= decisions[i];
   }
   int best = classes_[0];
   for (int c : classes_) {

@@ -1,6 +1,15 @@
 // Soft-margin SVM trained with a simplified Platt SMO, plus one-vs-one
 // multiclass voting — the model class ForeCache's phase classifier uses
 // (paper section 4.2.2: multi-class SVM with an RBF kernel).
+//
+// Both sides work over distinct feature vectors. The phase features (tile
+// x/y/level and move flags) are discrete, so thousands of training rows
+// hold only a few hundred distinct vectors. Training builds its kernel
+// matrix over the distinct rows. The multiclass model keeps one pool of
+// distinct support vectors shared by all pairwise machines, so a
+// prediction evaluates the kernel once per pool row and each machine's
+// decision value once. The sums run in the same order as the textbook
+// per-support-vector form, so results are bit-identical to it.
 
 #ifndef FORECACHE_SVM_SVM_H_
 #define FORECACHE_SVM_SVM_H_
@@ -43,6 +52,11 @@ class BinarySvm {
   }
 
   std::size_t num_support_vectors() const { return support_vectors_.size(); }
+  const std::vector<std::vector<double>>& support_vectors() const {
+    return support_vectors_;
+  }
+  /// alpha_i * y_i, one per support vector, in support-vector order.
+  const std::vector<double>& coefficients() const { return coefficients_; }
   double bias() const { return bias_; }
   const SvmOptions& options() const { return options_; }
 
@@ -71,16 +85,29 @@ class MulticlassSvm {
   /// Vote counts per class label.
   std::map<int, int> Votes(const std::vector<double>& x) const;
 
+  /// Each pairwise machine's decision value f(x), in machine order: class
+  /// pairs (a, b) with a < b in classes() order, a voting positive.
+  std::vector<double> DecisionValues(const std::vector<double>& x) const;
+
   const std::vector<int>& classes() const { return classes_; }
   std::size_t num_machines() const { return machines_.size(); }
+  /// Distinct support vectors across all machines (kernel evaluations per
+  /// prediction).
+  std::size_t num_distinct_support_vectors() const { return pool_.size(); }
 
  private:
   struct PairwiseMachine {
     int positive_class = 0;
     int negative_class = 0;
-    BinarySvm svm;
+    double bias = 0.0;
+    std::vector<double> coefficients;  // alpha_i * y_i, support-vector order
+    std::vector<std::size_t> support;  // pool_ row of each support vector
   };
 
+  std::map<int, int> CountVotes(const std::vector<double>& decisions) const;
+
+  KernelParams kernel_;
+  std::vector<std::vector<double>> pool_;  // distinct support vectors
   std::vector<int> classes_;
   std::vector<PairwiseMachine> machines_;
 };

@@ -7,6 +7,8 @@
 #include "core/baseline_recommenders.h"
 #include "core/phase_classifier.h"
 #include "core/sb_recommender.h"
+#include "sim/study.h"
+#include "test_fixtures.h"
 
 namespace fc::core {
 namespace {
@@ -405,6 +407,32 @@ TEST(PhaseClassifierTest, SubsamplingBoundsRows) {
 
 TEST(PhaseClassifierTest, RejectsEmptyTraining) {
   EXPECT_FALSE(PhaseClassifier::Train({}).ok());
+}
+
+TEST(PhaseClassifierTest, ServedPhaseSequenceGolden) {
+  // Trained as deployments train it (every row, default options), then run
+  // over a study served from another seed. The hash of the phase sequence
+  // was recorded with the textbook per-support-vector predictor and dense
+  // training kernel; a change that flips any predicted phase fails it.
+  const auto& study = testfx::SmallStudy();
+  auto classifier = PhaseClassifier::Train(study.traces);
+  ASSERT_TRUE(classifier.ok());
+  sim::StudyOptions served_options;
+  served_options.num_users = 6;
+  served_options.seed = 9001;
+  auto served = sim::RunStudyOnDataset(study.dataset, served_options);
+  ASSERT_TRUE(served.ok());
+  std::uint64_t hash = 1469598103934665603ull;
+  std::size_t requests = 0;
+  for (const auto& trace : served->traces) {
+    for (const auto& rec : trace.records) {
+      hash ^= static_cast<std::uint64_t>(classifier->Predict(rec.request));
+      hash *= 1099511628211ull;
+      ++requests;
+    }
+  }
+  EXPECT_EQ(requests, 506u);
+  EXPECT_EQ(hash, 10364160712008902455ull);
 }
 
 TEST(PhaseFeatureTest, Names) {
