@@ -5,10 +5,13 @@
 // This is the workload paper section 6.2 leaves as future work: N users
 // exploring overlapping regions of one dataset through one middleware
 // process. Each session replays a study trace on its own OS thread (up to 8
-// threads), with prefetch fills on the background executor and single-flight
-// dedup of concurrent DBMS fetches. The shared cache should raise the
-// aggregate hit rate over private-only sessions whenever traces overlap —
-// every trace starts at the root and the study tasks revisit the same ROIs.
+// threads), with single-flight dedup of concurrent DBMS fetches. Shared
+// rows publish predictions to the cross-session PrefetchScheduler, drained
+// by an 8-thread executor; private rows have no scheduler, so each session
+// fills its region synchronously on its own thread. The shared cache should
+// raise the aggregate hit rate over private-only sessions whenever traces
+// overlap — every trace starts at the root and the study tasks revisit the
+// same ROIs.
 
 #include <algorithm>
 #include <chrono>

@@ -7,9 +7,11 @@
 // relaxed atomic add on a sharded cell, and unsampled requests carry inert
 // spans that never read the clock. This harness holds the subsystem to
 // that contract end to end: the telemetry configuration must stay within
-// 3% of the baseline's wall-clock time (min over alternating repetitions,
-// with a small absolute floor so sub-100ms smoke runs don't gate on timer
-// noise).
+// 3% of the baseline's wall-clock time (min over alternating repetitions),
+// unless the difference is inside the run's own timing noise — the spread
+// of its baseline repetitions, median minus min. The floor is measured, not
+// fixed, so a short smoke run still fails on an overhead larger than the
+// noise this host showed while running it.
 //
 // It also audits the books: one registry snapshot taken after the run must
 // satisfy the scheduler's retirement invariant (fills_issued +
@@ -40,10 +42,9 @@ namespace {
 
 constexpr std::size_t kSessions = 64;
 constexpr std::size_t kThreads = 8;
-constexpr int kReps = 3;
-/// Timer-noise floor: deltas under this never fail the gate (relevant only
-/// to FORECACHE_FAST_BENCH smoke runs whose whole workload is a few ms).
-constexpr double kNoiseFloorSec = 0.05;
+/// Alternating repetitions per mode. Smoke runs replay in ~0.15 s, so they
+/// take more repetitions to pin down the min and the median.
+int Reps() { return bench::FastBench() ? 15 : 3; }
 constexpr double kMaxOverheadPct = 3.0;
 
 struct TrainedComponents {
@@ -208,31 +209,42 @@ int main() {
 
   // Alternate modes within each repetition so drift (thermal, page cache,
   // scheduler) lands on both sides equally; keep the min per mode.
+  const int reps = Reps();
   double baseline_sec = 0.0, telemetry_sec = 0.0;
+  std::vector<double> baseline_reps;
   RunResult telemetry_run;
-  for (int rep = 0; rep < kReps; ++rep) {
+  for (int rep = 0; rep < reps; ++rep) {
     RunResult base = RunOnce(study, trained, /*with_telemetry=*/false);
     RunResult tel = RunOnce(study, trained, /*with_telemetry=*/true);
     if (base.total_requests == 0 || tel.total_requests == 0) {
       std::cerr << "ERROR: a repetition served no requests\n";
       return 1;
     }
+    baseline_reps.push_back(base.elapsed_sec);
     baseline_sec =
         rep == 0 ? base.elapsed_sec : std::min(baseline_sec, base.elapsed_sec);
     if (rep == 0 || tel.elapsed_sec < telemetry_sec) {
       telemetry_sec = tel.elapsed_sec;
     }
     telemetry_run = std::move(tel);
-    std::cout << "rep " << rep + 1 << "/" << kReps << ": baseline "
+    std::cout << "rep " << rep + 1 << "/" << reps << ": baseline "
               << base.elapsed_sec << "s, telemetry " << tel.elapsed_sec
               << "s\n";
   }
 
+  // Noise floor: how far a typical baseline repetition lands above the
+  // best one. A telemetry best within that distance of the baseline best
+  // is indistinguishable from timing noise on this host.
+  std::nth_element(baseline_reps.begin(),
+                   baseline_reps.begin() + baseline_reps.size() / 2,
+                   baseline_reps.end());
+  const double noise_floor_sec =
+      baseline_reps[baseline_reps.size() / 2] - baseline_sec;
   const double delta_sec = telemetry_sec - baseline_sec;
   const double overhead_pct =
       baseline_sec > 0.0 ? 100.0 * delta_sec / baseline_sec : 0.0;
   const bool overhead_ok =
-      overhead_pct < kMaxOverheadPct || delta_sec < kNoiseFloorSec;
+      overhead_pct < kMaxOverheadPct || delta_sec < noise_floor_sec;
 
   std::vector<std::string> book_failures;
   const bool books_ok = AuditBooks(telemetry_run, &book_failures);
@@ -240,7 +252,7 @@ int main() {
     std::cerr << "BOOKS: " << failure << "\n";
   }
 
-  eval::TablePrinter table({"Mode", "Best of " + std::to_string(kReps),
+  eval::TablePrinter table({"Mode", "Best of " + std::to_string(reps),
                             "Requests", "Trace events"});
   table.AddRow({"baseline", eval::TablePrinter::Num(baseline_sec, 3) + "s",
                 std::to_string(telemetry_run.total_requests), "-"});
@@ -249,19 +261,22 @@ int main() {
                 std::to_string(telemetry_run.trace_events)});
   table.Print();
   std::cout << "overhead: " << overhead_pct << "% (gate < " << kMaxOverheadPct
-            << "%, noise floor " << kNoiseFloorSec << "s)\n";
+            << "%, measured noise floor " << noise_floor_sec << "s = "
+            << (baseline_sec > 0.0 ? 100.0 * noise_floor_sec / baseline_sec
+                                   : 0.0)
+            << "%)\n";
 
   const bool pass = overhead_ok && books_ok;
   auto report = JsonValue::Object();
   report.Set("bench", "telemetry_overhead");
   report.Set("fast_mode", bench::FastBench());
   report.Set("sessions", static_cast<std::uint64_t>(kSessions));
-  report.Set("reps", static_cast<std::uint64_t>(kReps));
+  report.Set("reps", static_cast<std::uint64_t>(reps));
   report.Set("baseline_sec", baseline_sec);
   report.Set("telemetry_sec", telemetry_sec);
   report.Set("overhead_pct", overhead_pct);
   report.Set("max_overhead_pct", kMaxOverheadPct);
-  report.Set("noise_floor_sec", kNoiseFloorSec);
+  report.Set("noise_floor_sec", noise_floor_sec);
   report.Set("overhead_ok", overhead_ok);
   report.Set("books_ok", books_ok);
   report.Set("total_requests", telemetry_run.total_requests);

@@ -3,10 +3,11 @@
 //
 // The concurrent serving core in action: sessions run on a pool of real OS
 // threads, each with its own prediction-engine state and private cache
-// regions, all layered over one process-wide SharedTileCache. Prefetch
-// region fills run on a background executor, so they overlap user think
-// time instead of the request path, and concurrent DBMS fetches for the
-// same tile are collapsed by the single-flight store.
+// regions, all layered over one process-wide SharedTileCache. Sessions
+// publish their predictions to the cross-session PrefetchScheduler, whose
+// executor fills the regions in the background, so fills overlap user think
+// time instead of the request path; concurrent DBMS fetches for the same
+// tile are collapsed by the single-flight store.
 
 #include <iomanip>
 #include <iostream>
@@ -58,7 +59,7 @@ int main() {
 
   constexpr std::size_t kThreads = 8;
   server::SessionManagerOptions manager_options;
-  manager_options.executor_threads = kThreads;  // background prefetch pool
+  manager_options.executor_threads = kThreads;  // prefetch scheduler's pool
   manager_options.use_shared_cache = true;
   // Byte-governed two-tier shared cache: 128 decoded tiles hot (L1) plus a
   // compressed warm tier (L2) that keeps demoted tiles off the DBMS.

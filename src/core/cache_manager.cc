@@ -71,23 +71,10 @@ Result<FetchOutcome> CacheManager::Request(const tiles::TileKey& key) {
   return outcome;
 }
 
-Status CacheManager::Prefetch(const std::vector<tiles::TileKey>& predictions) {
-  return Prefetch(predictions, {}, [] { return false; });
-}
-
 Status CacheManager::Prefetch(const std::vector<tiles::TileKey>& predictions,
-                              const std::function<bool()>& cancelled) {
-  return Prefetch(predictions, {}, cancelled);
-}
-
-Status CacheManager::Prefetch(const std::vector<tiles::TileKey>& predictions,
-                              const std::vector<double>& confidences,
-                              const std::function<bool()>& cancelled) {
+                              const std::vector<double>& confidences) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // A fill superseded before it even started must not touch the region:
-    // its successor may already have cleared and repopulated it.
-    if (cancelled()) return Status::OK();
     prefetch_.Clear();
   }
   std::size_t filled_bytes = 0;
@@ -95,7 +82,6 @@ Status CacheManager::Prefetch(const std::vector<tiles::TileKey>& predictions,
   for (std::size_t i = 0; i < predictions.size(); ++i) {
     const tiles::TileKey& key = predictions[i];
     if (filled_bytes >= budget) break;
-    if (cancelled()) break;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (auto resident = history_.Peek(key)) {
@@ -121,11 +107,6 @@ Status CacheManager::Prefetch(const std::vector<tiles::TileKey>& predictions,
     // but at most one fetch per fill is wasted, and only on truncation.
     if (filled_bytes > 0 && filled_bytes + bytes > budget) break;
     std::lock_guard<std::mutex> lock(mu_);
-    // Re-check under the lock: if this fill is superseded now, a successor
-    // fill's Clear() has either run (we must not re-pollute its region) or
-    // will run after we release mu_ (and would erase anything we put).
-    // Checking and inserting under one lock hold closes the gap between.
-    if (cancelled()) break;
     prefetch_.Put(key, std::move(*tile));
     filled_bytes += bytes;
   }

@@ -13,17 +13,16 @@
 // backing store, and every tile fetched (on demand or by prefetch) is
 // published there for other sessions.
 //
-// Thread-safety: all methods may be called concurrently — in the async
-// serving stack the session thread calls Request while an executor worker
-// runs Prefetch. Region state is mutex-guarded; backing-store fetches happen
-// outside the lock so a slow DBMS query never blocks the session thread's
-// region lookups. Stats are atomics.
+// Thread-safety: the session thread calls Request, Prefetch and
+// BeginPrefetch; in the scheduler-fed serving stack, scheduler workers call
+// AcceptPrefetched concurrently with them. Region state is mutex-guarded;
+// backing-store fetches happen outside the lock so a slow DBMS query never
+// blocks a delivery. Stats are atomics.
 
 #ifndef FORECACHE_CORE_CACHE_MANAGER_H_
 #define FORECACHE_CORE_CACHE_MANAGER_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -69,27 +68,18 @@ class CacheManager {
   /// region (and published to the shared cache on a store fetch).
   Result<FetchOutcome> Request(const tiles::TileKey& key);
 
-  /// Replaces the prefetch region with `predictions` (ranked, highest
-  /// priority first), fetching each tile from the shared cache or backing
-  /// store until the region's byte budget is spent. Tiles already in a
-  /// private region are not re-fetched (but still charge the budget). A
-  /// fetch failure skips that tile (counted in prefetch_failures()) and
-  /// continues down the ranked list, so one bad tile cannot starve the rest.
-  Status Prefetch(const std::vector<tiles::TileKey>& predictions);
-
-  /// As above, but polls `cancelled` between tiles and stops early when it
-  /// returns true — the async server cancels a fill superseded by a newer
-  /// request. Aborted fills leave the region partially updated.
+  /// Synchronous fill: replaces the prefetch region with `predictions`
+  /// (ranked, highest priority first), fetching each tile from the shared
+  /// cache or backing store until the region's byte budget is spent. Tiles
+  /// already in the history region are not re-fetched (but still charge
+  /// the budget). A fetch failure skips that tile (counted in
+  /// prefetch_failures()) and continues down the ranked list, so one bad
+  /// tile cannot starve the rest. `confidences` parallels `predictions`
+  /// (the engine's per-tile confidence; missing entries read as 0): each
+  /// shared-cache fill carries its confidence so a near-certain prediction
+  /// takes the priority-admission path past the frequency filter.
   Status Prefetch(const std::vector<tiles::TileKey>& predictions,
-                  const std::function<bool()>& cancelled);
-
-  /// As above with the engine's per-tile confidences (parallel to
-  /// `predictions`; missing entries read as 0): each shared-cache fill
-  /// carries its confidence so a near-certain prediction takes the
-  /// priority-admission path past the frequency filter.
-  Status Prefetch(const std::vector<tiles::TileKey>& predictions,
-                  const std::vector<double>& confidences,
-                  const std::function<bool()>& cancelled);
+                  const std::vector<double>& confidences = {});
 
   /// Scheduler-mode fill, step 1 (the submission API swap): instead of
   /// fetching the ranked list itself, the session plans it for the

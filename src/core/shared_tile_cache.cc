@@ -456,52 +456,6 @@ Result<tiles::TilePtr> SharedTileCache::GetOrFetch(const tiles::TileKey& key,
   return tile;
 }
 
-tiles::TilePtr SharedTileCache::PrepareSharedFetch(
-    const tiles::TileKey& key, const std::vector<CacheAccess>& subscribers,
-    CacheAccess* merged) {
-  double aggregate = 0.0;
-  for (const auto& subscriber : subscribers) aggregate += subscriber.confidence;
-  // The fill is anonymous (owner 0: a tile serving many sessions is charged
-  // to no one's quota) and carries the aggregate confidence, capped to the
-  // [0, 1] domain of a single access, for priority admission.
-  *merged = CacheAccess{0, std::min(1.0, aggregate)};
-  Shard& shard = ShardFor(key);
-  if (subscribers.size() > 1) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Lookup below records one access; each further subscriber's intent is
-    // just as real, so the frequency model sees the full group — a tile
-    // many sessions predict is warm by consensus before it ever lands.
-    for (std::size_t i = 1; i < subscribers.size(); ++i) {
-      shard.admission->RecordAccess(KeyHash(key));
-    }
-    shard.counters.merged_predictions += subscribers.size();
-  }
-  return Lookup(key, *merged);
-}
-
-Result<SharedTileCache::SharedFetch> SharedTileCache::GetOrFetchShared(
-    const tiles::TileKey& key, storage::TileStore* store,
-    const std::vector<CacheAccess>& subscribers) {
-  CacheAccess merged;
-  SharedFetch out;
-  out.tile = PrepareSharedFetch(key, subscribers, &merged);
-  if (out.tile != nullptr) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.counters.dedup_saved_fetches += subscribers.size();
-    return out;
-  }
-  FC_ASSIGN_OR_RETURN(out.tile, store->Fetch(key));
-  out.fetched = true;
-  Insert(key, out.tile, merged);
-  if (subscribers.size() > 1) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.counters.dedup_saved_fetches += subscribers.size() - 1;
-  }
-  return out;
-}
-
 std::vector<Result<SharedTileCache::SharedFetch>>
 SharedTileCache::GetOrFetchSharedBatch(const std::vector<SharedBatchItem>& items,
                                        storage::TileStore* store) {
@@ -510,12 +464,31 @@ SharedTileCache::GetOrFetchSharedBatch(const std::vector<SharedBatchItem>& items
   std::vector<CacheAccess> merged(items.size());
   std::vector<std::size_t> misses;  // indices into items
   for (std::size_t i = 0; i < items.size(); ++i) {
-    SharedFetch hit;
-    hit.tile = PrepareSharedFetch(items[i].key, items[i].subscribers, &merged[i]);
-    if (hit.tile != nullptr) {
-      Shard& shard = ShardFor(items[i].key);
+    const tiles::TileKey& key = items[i].key;
+    const auto& subscribers = items[i].subscribers;
+    double aggregate = 0.0;
+    for (const auto& subscriber : subscribers) aggregate += subscriber.confidence;
+    // The fill is anonymous (owner 0: a tile serving many sessions is
+    // charged to no one's quota) and carries the aggregate confidence,
+    // capped to the [0, 1] domain of a single access, for priority
+    // admission.
+    merged[i] = CacheAccess{0, std::min(1.0, aggregate)};
+    Shard& shard = ShardFor(key);
+    if (subscribers.size() > 1) {
       std::lock_guard<std::mutex> lock(shard.mu);
-      shard.counters.dedup_saved_fetches += items[i].subscribers.size();
+      // Lookup below records one access; each further subscriber's intent
+      // is just as real, so the frequency model sees the full group — a
+      // tile many sessions predict is warm by consensus before it lands.
+      for (std::size_t j = 1; j < subscribers.size(); ++j) {
+        shard.admission->RecordAccess(KeyHash(key));
+      }
+      shard.counters.merged_predictions += subscribers.size();
+    }
+    SharedFetch hit;
+    hit.tile = Lookup(key, merged[i]);
+    if (hit.tile != nullptr) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      shard.counters.dedup_saved_fetches += subscribers.size();
       out[i] = std::move(hit);
     } else {
       misses.push_back(i);

@@ -186,39 +186,31 @@ class SharedTileCache {
                                     storage::TileStore* store,
                                     const CacheAccess& access = {});
 
-  /// Outcome of a merged (multi-subscriber) cache-through fetch.
+  /// Outcome of one tile of a merged (multi-subscriber) cache-through fetch.
   struct SharedFetch {
     tiles::TilePtr tile;
     bool fetched = false;  ///< True when the backing store was queried.
   };
 
-  /// Multi-owner cache-through fetch for the cross-session prefetch
-  /// scheduler: one fill serves every subscriber. Each subscriber's intent
-  /// feeds the admission frequency model (a tile many sessions predict is
-  /// warm by consensus), the fill itself runs as an anonymous access whose
-  /// confidence is the capped SUM of subscriber confidences — so priority
-  /// admission judges the aggregate, not any single session — and the
-  /// resulting L1 entry is unowned (exempt from per-session quotas: a tile
-  /// serving many sessions is charged to none of them). Thread-safe.
-  Result<SharedFetch> GetOrFetchShared(
-      const tiles::TileKey& key, storage::TileStore* store,
-      const std::vector<CacheAccess>& subscribers);
-
   /// One tile of a batched multi-owner fetch: the key and every scheduler
-  /// subscription riding it (see GetOrFetchShared for what subscribers do).
+  /// subscription riding it.
   struct SharedBatchItem {
     tiles::TileKey key;
     std::vector<CacheAccess> subscribers;
   };
 
-  /// Batched multi-owner cache-through fetch: the per-tile admission,
-  /// frequency, and quota accounting of GetOrFetchShared for every item,
-  /// but all cache misses travel in ONE TileStore::FetchBatch round trip —
-  /// the backend's fixed per-query cost is paid once per batch instead of
-  /// once per missing tile. Keys must be distinct. Returns one result per
-  /// item, parallel to `items`; a failed slot fails alone. Each fetched
-  /// tile lands once (anonymous owner, aggregate-confidence priority
-  /// admission), exactly as the per-tile path would have landed it.
+  /// Multi-owner cache-through fetch for the cross-session prefetch
+  /// scheduler: one fill serves every subscriber of a tile. Each
+  /// subscriber's intent feeds the admission frequency model (a tile many
+  /// sessions predict is warm by consensus), the fill itself runs as an
+  /// anonymous access whose confidence is the capped SUM of subscriber
+  /// confidences — so priority admission judges the aggregate, not any
+  /// single session — and the resulting L1 entry is unowned (exempt from
+  /// per-session quotas: a tile serving many sessions is charged to none of
+  /// them). All cache misses travel in ONE TileStore::FetchBatch round
+  /// trip — the backend's fixed per-query cost is paid once per batch
+  /// instead of once per missing tile. Keys must be distinct. Returns one
+  /// result per item, parallel to `items`; a failed slot fails alone.
   /// Thread-safe; counts batches_issued/batched_tiles/fetch_rounds_saved.
   std::vector<Result<SharedFetch>> GetOrFetchSharedBatch(
       const std::vector<SharedBatchItem>& items, storage::TileStore* store);
@@ -386,14 +378,6 @@ class SharedTileCache {
 
   /// Drops one L2 victim. Caller holds shard.mu; shard.l2 must be nonempty.
   void EvictFromL2(Shard& shard);
-
-  /// The shard-locked pre-fetch step shared by GetOrFetchShared and the
-  /// batch variant: feeds every extra subscriber's intent to the admission
-  /// sketch, counts merged_predictions, computes the merged anonymous
-  /// access, and probes the cache. Returns the resident tile (or null).
-  tiles::TilePtr PrepareSharedFetch(const tiles::TileKey& key,
-                                    const std::vector<CacheAccess>& subscribers,
-                                    CacheAccess* merged);
 
   SharedTileCacheOptions options_;
   storage::TileCodec codec_;

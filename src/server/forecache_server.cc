@@ -11,7 +11,7 @@ namespace fc::server {
 
 ForeCacheServer::ForeCacheServer(storage::TileStore* store,
                                  core::PredictionEngine* engine, SimClock* clock,
-                                 ServerOptions options, Executor* executor,
+                                 ServerOptions options,
                                  core::SharedTileCache* shared,
                                  core::PrefetchScheduler* scheduler,
                                  core::StreamScheduler* stream_scheduler)
@@ -22,7 +22,6 @@ ForeCacheServer::ForeCacheServer(storage::TileStore* store,
                 ? options.wall_clock
                 : static_cast<const Clock*>(clock)),
       options_(options),
-      executor_(executor),
       scheduler_(scheduler),
       stream_scheduler_(scheduler != nullptr ? stream_scheduler : nullptr),
       cache_manager_(store, options.cache, shared),
@@ -91,73 +90,30 @@ void ForeCacheServer::StartSession() {
 }
 
 void ForeCacheServer::WaitForPrefetch() {
-  if (scheduler_ != nullptr) {
-    scheduler_->WaitForSession(scheduler_session_);
-    if (stream_ != nullptr) {
-      // Push what the byte budgets allow right now, including chunks the
-      // executor self-pump has in flight. Budget-blocked chunks stay
-      // queued — a rate-limited stream is SUPPOSED to leave the region
-      // partially coarse until bandwidth accrues.
-      stream_scheduler_->WaitForSession(stream_->stream_session());
-    }
-    return;
+  if (scheduler_ == nullptr) return;  // synchronous fills end in HandleRequest
+  scheduler_->WaitForSession(scheduler_session_);
+  if (stream_ != nullptr) {
+    // Push what the byte budgets allow right now, including chunks the
+    // executor self-pump has in flight. Budget-blocked chunks stay
+    // queued — a rate-limited stream is SUPPOSED to leave the region
+    // partially coarse until bandwidth accrues.
+    stream_scheduler_->WaitForSession(stream_->stream_session());
   }
-  if (executor_ == nullptr) return;
-  std::unique_lock<std::mutex> lock(pending_mu_);
-  pending_cv_.wait(lock, [this] { return pending_prefetches_ == 0; });
 }
 
 void ForeCacheServer::CancelAndWaitForPrefetch() {
-  // Supersede any in-flight fill so it aborts at its next per-tile poll
-  // instead of draining its whole ranked list into a doomed region.
-  prefetch_generation_.fetch_add(1, std::memory_order_release);
-  if (scheduler_ != nullptr) {
-    // Close the region gate first so a merged fill settling during the
-    // cancel wait cannot deliver into the abandoned region, then retire
-    // this session's queued predictions and wait out its in-flight fills.
-    cache_manager_.AbortPrefetch();
-    scheduler_->CancelSession(scheduler_session_);
-    // Then shed the push queue: chunks for the abandoned region are dead
-    // weight on the channel (in-flight pushes settle against the closed
-    // gate).
-    if (stream_ != nullptr) stream_->Cancel();
-    return;
-  }
-  WaitForPrefetch();
-}
-
-void ForeCacheServer::FinishPendingPrefetch() {
-  // Notify under the lock: the destructor may tear the server down the
-  // instant the count reaches zero, so the cv must not be touched after
-  // the mutex is released.
-  std::lock_guard<std::mutex> lock(pending_mu_);
-  --pending_prefetches_;
-  pending_cv_.notify_all();
-}
-
-void ForeCacheServer::SchedulePrefetch(core::RankedTiles tiles,
-                                       std::vector<double> confidences) {
-  std::uint64_t generation = prefetch_generation_.load(std::memory_order_acquire);
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    ++pending_prefetches_;
-  }
-  bool accepted = executor_->Submit(
-      [this, generation, tiles = std::move(tiles),
-       confidences = std::move(confidences)] {
-    auto superseded = [this, generation] {
-      return prefetch_generation_.load(std::memory_order_acquire) != generation;
-    };
-    // Failures are skipped inside Prefetch (counted per session); the
-    // fill itself cannot return an error worth surfacing here.
-    cache_manager_.Prefetch(tiles, confidences, superseded).IgnoreError();
-    FinishPendingPrefetch();
-  });
-  if (!accepted) {
-    // Executor already shut down: undo the reservation so WaitForPrefetch
-    // and the destructor don't wait for a task that will never run.
-    FinishPendingPrefetch();
-  }
+  if (scheduler_ == nullptr) return;
+  // Supersede the current publication, close the region gate so a merged
+  // fill settling during the cancel wait cannot deliver into the abandoned
+  // region, then retire this session's queued predictions and wait out its
+  // in-flight fills.
+  ++prefetch_generation_;
+  cache_manager_.AbortPrefetch();
+  scheduler_->CancelSession(scheduler_session_);
+  // Then shed the push queue: chunks for the abandoned region are dead
+  // weight on the channel (in-flight pushes settle against the closed
+  // gate).
+  if (stream_ != nullptr) stream_->Cancel();
 }
 
 Result<ServedRequest> ForeCacheServer::HandleRequest(
@@ -172,9 +128,9 @@ Result<ServedRequest> ForeCacheServer::HandleRequest(
   }
   telemetry::Span handle_span(options_.trace, "request.handle", trace_ctx);
 
-  // Supersede any fill still running for the previous request: the region
-  // is about to be re-planned around this newer position anyway.
-  prefetch_generation_.fetch_add(1, std::memory_order_release);
+  // Supersede the previous request's publication: the region is about to
+  // be re-planned around this newer position anyway.
+  const std::uint64_t generation = ++prefetch_generation_;
 
   // Step 1: serve the tile, measuring user-perceived latency. In
   // simulation mode this runs on the virtual clock: a cache hit costs
@@ -219,7 +175,7 @@ Result<ServedRequest> ForeCacheServer::HandleRequest(
   }
 
   // Steps 2-3: predict, then prefetch during the user's think time (not
-  // charged to this request's latency). With an executor the fill runs in
+  // charged to this request's latency). With a scheduler the fill runs in
   // the background and this request returns immediately.
   if (options_.prefetching_enabled) {
     FC_ASSIGN_OR_RETURN(served.prediction, engine_->OnRequest(request));
@@ -228,8 +184,6 @@ Result<ServedRequest> ForeCacheServer::HandleRequest(
       // request's generation), then publish the ranked candidates into the
       // shared queue. The gate opens before Publish so a fill completing
       // immediately is never rejected as early.
-      const std::uint64_t generation =
-          prefetch_generation_.load(std::memory_order_acquire);
       telemetry::Span publish_span(options_.trace, "prefetch.publish",
                                    trace_ctx);
       auto plan = cache_manager_.BeginPrefetch(
@@ -248,12 +202,9 @@ Result<ServedRequest> ForeCacheServer::HandleRequest(
       }
       scheduler_->Publish(scheduler_session_, generation, std::move(plan),
                           think_ms, trace_ctx.trace_id);
-    } else if (executor_ != nullptr) {
-      SchedulePrefetch(served.prediction.tiles, served.prediction.confidences);
     } else {
       FC_RETURN_IF_ERROR(cache_manager_.Prefetch(
-          served.prediction.tiles, served.prediction.confidences,
-          [] { return false; }));
+          served.prediction.tiles, served.prediction.confidences));
     }
   }
   return served;

@@ -6,34 +6,29 @@
 // ranked list. Prefetching happens during the user's think time, so only
 // step (1) counts toward response latency.
 //
-// With an Executor attached, step (3) runs as a background task and
-// HandleRequest returns right after steps (1)-(2) — the fill genuinely
-// overlaps think time instead of serializing with the response. A newer
-// request supersedes any still-running fill (generation check), mirroring
-// the paper's "re-filled after every request" semantics without double work.
-//
-// With a PrefetchScheduler attached (the multi-session configuration), the
-// server does not fill its own region at all: it publishes the ranked
-// predictions — tagged with the request generation — into the process-wide
-// queue, which merges them with every other session's, fetches each tile
-// once, and delivers completed fills back through AcceptPrefetched.
+// Step (3) takes one of two paths. Without a PrefetchScheduler the server
+// fills its own region synchronously, on the session thread, before
+// HandleRequest returns (the paper's single-user design). With one attached
+// (the multi-session configuration), the server does not fill its region
+// at all: it publishes the ranked predictions — tagged with the request
+// generation — into the process-wide queue, which merges them with every
+// other session's, fetches each tile once, and delivers completed fills
+// back through AcceptPrefetched. A newer request supersedes the previous
+// publication (generation check), mirroring the paper's "re-filled after
+// every request" semantics without double work.
 //
 // Thread-safety: one server backs one session. HandleRequest and the
-// accessors must be called from that session's thread; the background fill
-// only touches the (internally synchronized) CacheManager, shared cache,
-// scheduler, store, and clock.
+// accessors must be called from that session's thread; scheduler
+// deliveries arrive on worker threads and only touch the (internally
+// synchronized) CacheManager and PushStream.
 
 #ifndef FORECACHE_SERVER_FORECACHE_SERVER_H_
 #define FORECACHE_SERVER_FORECACHE_SERVER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "array/cost_model.h"
-#include "common/executor.h"
 #include "common/metrics.h"
 #include "common/sim_clock.h"
 #include "common/trace.h"
@@ -99,45 +94,44 @@ class ForeCacheServer {
   /// null only when options.prefetching_enabled is false; `clock` may be
   /// null only when options.wall_clock supplies the time base instead.
   ///
-  /// `executor` (optional) makes prefetch fills asynchronous; `shared`
-  /// (optional) layers the session cache over a process-wide tile cache;
-  /// `scheduler` (optional) routes predictions through the cross-session
-  /// prefetch queue instead of per-session executor fills (it takes
-  /// precedence over `executor` for prefetching and registers this session
-  /// under options.cache.session_id); `stream_scheduler` (optional,
-  /// requires `scheduler`) routes completed fills through a per-session
-  /// PushStream — progressive chunks under options.push_stream's byte
-  /// budget — instead of landing them in the region whole. All must
-  /// outlive the server.
+  /// `shared` (optional) layers the session cache over a process-wide tile
+  /// cache; `scheduler` (optional) routes predictions through the
+  /// cross-session prefetch queue instead of the synchronous fill (it
+  /// registers this session under options.cache.session_id);
+  /// `stream_scheduler` (optional, requires `scheduler`) routes completed
+  /// fills through a per-session PushStream — progressive chunks under
+  /// options.push_stream's byte budget — instead of landing them in the
+  /// region whole. All must outlive the server.
   ForeCacheServer(storage::TileStore* store, core::PredictionEngine* engine,
                   SimClock* clock, ServerOptions options = {},
-                  Executor* executor = nullptr,
                   core::SharedTileCache* shared = nullptr,
                   core::PrefetchScheduler* scheduler = nullptr,
                   core::StreamScheduler* stream_scheduler = nullptr);
 
-  /// Joins any in-flight prefetch task before destruction.
+  /// Cancels this session's scheduler work and waits out its in-flight
+  /// deliveries before destruction.
   ~ForeCacheServer();
 
   ForeCacheServer(const ForeCacheServer&) = delete;
   ForeCacheServer& operator=(const ForeCacheServer&) = delete;
 
-  /// Serves one client request end to end. With an executor, returns as
-  /// soon as the tile is served and the prediction made; the region fill
-  /// proceeds in the background.
+  /// Serves one client request end to end. With a scheduler, returns as
+  /// soon as the tile is served and the predictions published; the
+  /// scheduler fills the region in the background.
   Result<ServedRequest> HandleRequest(const core::TileRequest& request);
 
-  /// Blocks until no prefetch fill is in flight and, with streaming, until
-  /// every chunk the byte budgets allow has been pushed to this session.
-  /// Replay harnesses call this between moves to model think time fully
-  /// covering the fill (and to make replays deterministic). No-op for
-  /// synchronous servers.
+  /// Blocks until none of this session's scheduler fills is pending or in
+  /// flight and, with streaming, until every chunk the byte budgets allow
+  /// has been pushed to this session. Replay harnesses call this between
+  /// moves to model think time fully covering the fill (and to make
+  /// replays deterministic). No-op for synchronous servers.
   void WaitForPrefetch();
 
   /// Resets per-session state (cache + engine history) for a new session.
   void StartSession();
 
-  bool async() const { return executor_ != nullptr || scheduler_ != nullptr; }
+  /// True when a PrefetchScheduler fills the region (see the constructor).
+  bool async() const { return scheduler_ != nullptr; }
 
   const core::CacheManager& cache_manager() const { return cache_manager_; }
   core::CacheManager* mutable_cache_manager() { return &cache_manager_; }
@@ -156,15 +150,10 @@ class ForeCacheServer {
   const PushStream* push_stream() const { return stream_.get(); }
 
  private:
-  /// `confidences` parallels `tiles` (the engine's per-rank confidence) so
-  /// background fills carry priority-admission hints into the shared cache.
-  void SchedulePrefetch(core::RankedTiles tiles,
-                        std::vector<double> confidences);
-  /// Supersedes any in-flight fill, then waits for it to settle (session
-  /// reset/teardown: the region is about to be discarded anyway).
+  /// Retires this session's scheduler work and waits out its in-flight
+  /// deliveries (session reset/teardown: the region is about to be
+  /// discarded anyway). No-op for synchronous servers.
   void CancelAndWaitForPrefetch();
-  /// Decrements the pending-fill count and wakes waiters.
-  void FinishPendingPrefetch();
 
   storage::TileStore* store_;
   core::PredictionEngine* engine_;
@@ -173,7 +162,6 @@ class ForeCacheServer {
   /// options_.wall_clock when set, else clock_. Never null.
   const Clock* time_;
   ServerOptions options_;
-  Executor* executor_;
   core::PrefetchScheduler* scheduler_;
   core::StreamScheduler* stream_scheduler_;
   /// This session's registration with the scheduler (valid iff scheduler_).
@@ -193,12 +181,10 @@ class ForeCacheServer {
   telemetry::Counter* requests_total_ = nullptr;
   telemetry::Counter* cache_hits_total_ = nullptr;
 
-  /// Monotonic id of the latest request; a background fill aborts once a
-  /// newer request has superseded it.
-  std::atomic<std::uint64_t> prefetch_generation_{0};
-  std::mutex pending_mu_;
-  std::condition_variable pending_cv_;
-  std::size_t pending_prefetches_ = 0;  ///< Guarded by pending_mu_.
+  /// Monotonic id of the latest scheduler publication (bumped per request
+  /// and per cancel); deliveries carrying an older one are rejected.
+  /// Session-thread only.
+  std::uint64_t prefetch_generation_ = 0;
 };
 
 }  // namespace fc::server

@@ -77,9 +77,6 @@ SessionManager::SessionManager(storage::TileStore* store, SimClock* clock,
     if (options_.stream_scheduler.trace == nullptr)
       options_.stream_scheduler.trace = options_.trace;
   }
-  if (options_.executor_threads > 0) {
-    executor_ = std::make_unique<Executor>(options_.executor_threads);
-  }
   if (options_.use_shared_cache) {
     shared_cache_ = std::make_unique<core::SharedTileCache>(options_.shared_cache);
   }
@@ -91,9 +88,11 @@ SessionManager::SessionManager(storage::TileStore* store, SimClock* clock,
   // store the sessions use, so demand and prefetch traffic dedup together.
   // It only exists alongside a shared cache: without one, merged fills
   // would have nowhere to land once and the "private sessions" baseline
-  // would silently stop being private.
-  if (options_.use_prefetch_scheduler && executor_ != nullptr &&
+  // would silently stop being private. The executor exists only to drain
+  // it (and the stream scheduler downstream of it).
+  if (options_.use_prefetch_scheduler && options_.executor_threads > 0 &&
       shared_cache_ != nullptr) {
+    executor_ = std::make_unique<Executor>(options_.executor_threads);
     // Batch lingering and deadlines age against the same time base the
     // servers measure on — the wall clock in a real deployment, else the
     // virtual clock the stores charge — unless the caller wired an
@@ -181,8 +180,8 @@ BrowserSession* SessionManager::GetOrCreate(const std::string& session_id) {
   ServerOptions server_options = options_.server;
   server_options.cache.session_id = ++next_session_number_;
   state.server = std::make_unique<ForeCacheServer>(
-      store_, state.engine.get(), clock_, server_options, executor_.get(),
-      shared_cache_.get(), prefetch_scheduler_.get(), stream_scheduler_.get());
+      store_, state.engine.get(), clock_, server_options, shared_cache_.get(),
+      prefetch_scheduler_.get(), stream_scheduler_.get());
   state.browser = std::make_unique<BrowserSession>(state.server.get());
   auto [inserted, _] = sessions_.emplace(session_id, std::move(state));
   return inserted->second.browser.get();

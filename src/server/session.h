@@ -4,12 +4,12 @@
 // tracks the user's current tile and translates pans/zooms into tile
 // requests against a ForeCacheServer. SessionManager hosts many concurrent
 // sessions over one shared tile store (paper section 6.2 raises the
-// multi-user setting as future work): it owns the background prefetch
-// executor, a process-wide SharedTileCache every session layers over, a
-// single-flight store wrapper deduplicating concurrent DBMS fetches, and a
-// PrefetchScheduler merging overlapping predictions across sessions into
-// one priority queue — and it can drive session workloads from a pool of
-// real OS threads.
+// multi-user setting as future work): it owns a process-wide
+// SharedTileCache every session layers over, a single-flight store wrapper
+// deduplicating concurrent DBMS fetches, a PrefetchScheduler merging
+// overlapping predictions across sessions into one priority queue, and the
+// executor that drains it — and it can drive session workloads from a pool
+// of real OS threads.
 //
 // Concurrency model: SessionManager's own methods are thread-safe. Each
 // BrowserSession (and its ForeCacheServer) is confined to the one thread
@@ -78,9 +78,10 @@ struct SharedPredictionComponents {
 struct SessionManagerOptions {
   ServerOptions server;
 
-  /// Size of the background prefetch pool. 0 disables async prefetch
-  /// (fills run synchronously on the request path, the pre-refactor
-  /// behavior).
+  /// Size of the pool that drains the prefetch scheduler (and pumps the
+  /// stream scheduler). Built only together with the scheduler (see
+  /// use_prefetch_scheduler); 0 means no scheduler, so every session
+  /// fills its region synchronously on its own thread.
   std::size_t executor_threads = 8;
 
   /// When true, sessions layer over one process-wide SharedTileCache so
@@ -92,11 +93,12 @@ struct SessionManagerOptions {
   /// upstream query (SingleFlightTileStore).
   bool single_flight = true;
 
-  /// When true (and the executor and shared cache are both enabled),
+  /// When true (and executor_threads > 0 and the shared cache is on),
   /// sessions publish their ranked predictions into one process-wide
   /// PrefetchScheduler instead of each filling its own region: overlapping
   /// predictions merge into a single fill ordered by aggregate confidence x
-  /// subscribed-session count. False restores per-session executor fills.
+  /// subscribed-session count. Otherwise no scheduler or executor is built
+  /// and every session fills its region synchronously on its own thread.
   ///
   /// Batched backend I/O rides here too: set prefetch_scheduler.batch
   /// (storage::BatchProfile) to let each drain round pop the top-k pending
@@ -156,7 +158,7 @@ struct SessionManagerOptions {
 /// gets its own cache regions, prediction-engine state, and latency log.
 class SessionManager {
  public:
-  /// Legacy single-threaded setup: no executor, no shared cache — every
+  /// Legacy single-threaded setup: no scheduler, no shared cache — every
   /// session is fully private and prefetch is synchronous. `store` and
   /// everything in `shared` must outlive the manager.
   SessionManager(storage::TileStore* store, SimClock* clock,
@@ -209,6 +211,7 @@ class SessionManager {
   const storage::SingleFlightTileStore* single_flight_store() const {
     return single_flight_.get();
   }
+  /// The scheduler's drain pool; null exactly when prefetch_scheduler() is.
   Executor* executor() { return executor_.get(); }
   /// Null when the cross-session scheduler is disabled (see
   /// SessionManagerOptions::use_prefetch_scheduler).
@@ -237,9 +240,10 @@ class SessionManager {
   // Destruction order matters: the destructor body shuts the scheduler
   // down first (cross-session fills must settle while every session they
   // might deliver to is alive), then sessions_ (declared last, destroyed
-  // first) joins per-session prefetch tasks, which run on executor_ and
-  // touch prefetch_scheduler_, shared_cache_, and single_flight_ — so
-  // those members are declared (and stay alive) ahead of it.
+  // first) unregisters each server from prefetch_scheduler_ and
+  // stream_scheduler_, whose drains run on executor_ and touch
+  // shared_cache_ and single_flight_ — so those members are declared (and
+  // stay alive) ahead of it.
   std::unique_ptr<Executor> executor_;
   std::unique_ptr<core::SharedTileCache> shared_cache_;
   std::unique_ptr<storage::SingleFlightTileStore> single_flight_;

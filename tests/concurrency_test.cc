@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -299,6 +300,114 @@ TEST(MultiSessionStressTest, ConcurrentReplayMatchesSingleThreaded) {
   EXPECT_EQ(stats.insertions - stats.evictions,
             static_cast<std::uint64_t>(shared_cache->size()));
   EXPECT_EQ(stats.evictions, 0u);
+}
+
+/// Per-session request and private-hit counts after replaying `tapes` on
+/// `manager` from `threads` OS threads (sessions "user0".."userN").
+struct SessionCounts {
+  std::vector<std::uint64_t> requests;
+  std::vector<std::uint64_t> private_hits;
+};
+
+SessionCounts ReplayTapes(SessionManager& manager,
+                          const std::vector<std::vector<core::Move>>& tapes,
+                          std::size_t threads) {
+  std::vector<SessionManager::SessionWorkload> workloads;
+  for (std::size_t s = 0; s < tapes.size(); ++s) {
+    workloads.push_back(
+        {"user" + std::to_string(s), [&tapes, s](BrowserSession* session) {
+           return ReplayTape(session, tapes[s]);
+         }});
+  }
+  EXPECT_TRUE(manager.RunSessions(std::move(workloads), threads).ok());
+  SessionCounts counts;
+  for (std::size_t s = 0; s < tapes.size(); ++s) {
+    auto server = manager.ServerFor("user" + std::to_string(s));
+    EXPECT_TRUE(server.ok());
+    if (!server.ok()) continue;
+    EXPECT_FALSE((*server)->async());
+    counts.requests.push_back((*server)->cache_manager().requests());
+    counts.private_hits.push_back((*server)->cache_manager().private_hits());
+  }
+  return counts;
+}
+
+/// Private sessions have exactly one prefetch path — the synchronous fill
+/// on the session's own thread — so the size of the executor pool cannot
+/// change what they do: no pool or scheduler is built for them, and the
+/// replay is identical with and without threads configured.
+TEST(MultiSessionStressTest, PrivateSessionsIgnoreExecutorThreads) {
+  constexpr std::size_t kSessions = 6;
+  auto pyramid = SmallPyramid();
+  auto parts = EngineParts::Make();
+  SharedPredictionComponents shared;
+  shared.ab = &parts.ab;
+  shared.strategy = &parts.strategy;
+  shared.engine_options.prefetch_k = 5;
+  std::vector<std::vector<core::Move>> tapes;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    tapes.push_back(MoveTape(/*seed=*/7000 + s, /*length=*/50));
+  }
+
+  auto run = [&](std::size_t executor_threads, storage::TileStore* store) {
+    SimClock clock;
+    SessionManagerOptions options;
+    options.executor_threads = executor_threads;
+    options.use_shared_cache = false;
+    // Off so concurrent sessions cannot collapse each other's fetches: the
+    // store's fetch count is then a pure function of the tapes.
+    options.single_flight = false;
+    SessionManager manager(store, &clock, shared, options);
+    EXPECT_EQ(manager.executor(), nullptr);
+    EXPECT_EQ(manager.prefetch_scheduler(), nullptr);
+    return ReplayTapes(manager, tapes, /*threads=*/4);
+  };
+
+  storage::MemoryTileStore pooled_store(pyramid);
+  const SessionCounts pooled = run(/*executor_threads=*/4, &pooled_store);
+  storage::MemoryTileStore inline_store(pyramid);
+  const SessionCounts inline_fills = run(/*executor_threads=*/0, &inline_store);
+  EXPECT_EQ(pooled.requests, inline_fills.requests);
+  EXPECT_EQ(pooled.private_hits, inline_fills.private_hits);
+  EXPECT_EQ(pooled_store.fetch_count(), inline_store.fetch_count());
+}
+
+/// use_prefetch_scheduler = false over a shared cache means synchronous
+/// per-session fills: no scheduler, no pool, and private-region behaviour
+/// identical to the legacy single-threaded setup.
+TEST(MultiSessionStressTest, SchedulerOffFillsSynchronouslyOverSharedCache) {
+  constexpr std::size_t kSessions = 6;
+  auto pyramid = SmallPyramid();
+  auto parts = EngineParts::Make();
+  SharedPredictionComponents shared;
+  shared.ab = &parts.ab;
+  shared.strategy = &parts.strategy;
+  shared.engine_options.prefetch_k = 5;
+  std::vector<std::vector<core::Move>> tapes;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    tapes.push_back(MoveTape(/*seed=*/8000 + s, /*length=*/50));
+  }
+
+  storage::MemoryTileStore reference_store(pyramid);
+  SimClock reference_clock;
+  SessionManager reference(&reference_store, &reference_clock, shared);
+  const SessionCounts expected = ReplayTapes(reference, tapes, /*threads=*/1);
+
+  storage::MemoryTileStore store(pyramid);
+  SimClock clock;
+  SessionManagerOptions options;
+  options.executor_threads = 4;
+  options.use_shared_cache = true;
+  options.shared_cache.l1_bytes = 64ull << 20;
+  options.single_flight = true;
+  options.use_prefetch_scheduler = false;
+  SessionManager manager(&store, &clock, shared, options);
+  EXPECT_EQ(manager.prefetch_scheduler(), nullptr);
+  EXPECT_EQ(manager.executor(), nullptr);
+  ASSERT_NE(manager.shared_cache(), nullptr);
+  const SessionCounts actual = ReplayTapes(manager, tapes, /*threads=*/4);
+  EXPECT_EQ(actual.requests, expected.requests);
+  EXPECT_EQ(actual.private_hits, expected.private_hits);
 }
 
 // ---------------------------------------------------------------------------

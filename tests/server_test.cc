@@ -164,14 +164,24 @@ TEST(ForeCacheServerTest, AsyncPrefetchFillsDuringThinkTime) {
                                 &parts.strategy, engine_options);
   ServerOptions options;
   options.cache.prefetch_bytes = 9 * kTileBytes;  // room for every neighbor
-  Executor executor(2);  // outlives the server (joined prefetch tasks)
-  ForeCacheServer server(&store, &engine, &clock, options, &executor);
+  // Pull mode (no executor): nothing fills the region until the test
+  // drains the scheduler, so the fill provably happens after the request.
+  core::PrefetchScheduler scheduler(&store, /*executor=*/nullptr,
+                                    /*shared=*/nullptr);
+  ForeCacheServer server(&store, &engine, &clock, options, /*shared=*/nullptr,
+                         &scheduler);
   ASSERT_TRUE(server.async());
   server.StartSession();
 
   ASSERT_TRUE(server.HandleRequest(Req({0, 0, 0}, std::nullopt)).ok());
-  // Think time: the background fill completes before the next move.
+  // The request returned with its predictions queued, not fetched.
+  EXPECT_GT(scheduler.pending(), 0u);
+  EXPECT_FALSE(server.cache_manager().Cached({1, 0, 0}));
+  // Think time: the scheduler fills the region before the next move.
+  while (scheduler.DrainOne()) {
+  }
   server.WaitForPrefetch();
+  EXPECT_TRUE(server.cache_manager().Cached({1, 0, 0}));
   auto zoomed = server.HandleRequest(Req({1, 0, 0}, core::Move::kZoomInNW));
   ASSERT_TRUE(zoomed.ok());
   EXPECT_TRUE(zoomed->cache_hit);
@@ -185,10 +195,8 @@ TEST(ForeCacheServerTest, SharedCacheHitCostsMiddlewareTime) {
   core::SharedTileCache shared_cache;
   ServerOptions options;
   options.prefetching_enabled = false;
-  ForeCacheServer warmer(&store, nullptr, &clock, options, nullptr,
-                         &shared_cache);
-  ForeCacheServer server(&store, nullptr, &clock, options, nullptr,
-                         &shared_cache);
+  ForeCacheServer warmer(&store, nullptr, &clock, options, &shared_cache);
+  ForeCacheServer server(&store, nullptr, &clock, options, &shared_cache);
   warmer.StartSession();
   server.StartSession();
 

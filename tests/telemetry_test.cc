@@ -432,8 +432,8 @@ TEST(TelemetryIntegrationTest, FullStackTraceGoldenOnSimClock) {
   options.cache.prefetch_bytes = 1 << 20;
   options.metrics = &registry;
   options.trace = &sink;
-  ForeCacheServer server(&store, &engine, &clock, options, nullptr,
-                         &shared_cache, &scheduler, &stream);
+  ForeCacheServer server(&store, &engine, &clock, options, &shared_cache,
+                         &scheduler, &stream);
   server.StartSession();
 
   core::TileRequest request;
