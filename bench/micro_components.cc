@@ -97,16 +97,42 @@ void BM_LruCachePutGet(benchmark::State& state) {
 }
 BENCHMARK(BM_LruCachePutGet);
 
-void BM_TileCodecRoundTrip(benchmark::State& state) {
+// The codec on a real study tile (the deepest level's first: 32 x 32 cells
+// x 4 attributes), one row per encoding and direction. kDeltaVarint uses
+// the shared cache's default L2 quantization step.
+tiles::TilePtr CodecTile() {
   const auto& pyramid = *Study().dataset.pyramid;
-  auto key = pyramid.spec().KeysAtLevel(0).front();
-  auto tile = pyramid.GetTile(key);
-  for (auto _ : state) {
-    auto bytes = storage::EncodeTile(**tile);
-    benchmark::DoNotOptimize(storage::DecodeTile(bytes));
-  }
+  auto key = pyramid.spec().KeysAtLevel(pyramid.spec().num_levels - 1).front();
+  return *pyramid.GetTile(key);
 }
-BENCHMARK(BM_TileCodecRoundTrip);
+
+void BM_TileEncode(benchmark::State& state, storage::TileEncoding encoding) {
+  const auto tile = CodecTile();
+  const storage::TileCodec codec({encoding, 1e-4});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codec.Encode(*tile));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(tile->SizeBytes()));
+}
+BENCHMARK_CAPTURE(BM_TileEncode, raw_f64, storage::TileEncoding::kRawF64);
+BENCHMARK_CAPTURE(BM_TileEncode, float32, storage::TileEncoding::kFloat32);
+BENCHMARK_CAPTURE(BM_TileEncode, delta_varint,
+                  storage::TileEncoding::kDeltaVarint);
+
+void BM_TileDecode(benchmark::State& state, storage::TileEncoding encoding) {
+  const auto tile = CodecTile();
+  const std::string blob = storage::TileCodec({encoding, 1e-4}).Encode(*tile);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(storage::TileCodec::Decode(blob));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(tile->SizeBytes()));
+}
+BENCHMARK_CAPTURE(BM_TileDecode, raw_f64, storage::TileEncoding::kRawF64);
+BENCHMARK_CAPTURE(BM_TileDecode, float32, storage::TileEncoding::kFloat32);
+BENCHMARK_CAPTURE(BM_TileDecode, delta_varint,
+                  storage::TileEncoding::kDeltaVarint);
 
 void BM_SbRecommend(benchmark::State& state) {
   const auto& study = Study();

@@ -97,7 +97,8 @@ void SharedTileCache::DetachFromL1(
   shard.l1_bytes -= entry.bytes;
   DischargeOwner(shard, entry);
   shard.l1_order.erase(entry.order_it);
-  pending->push_back({it->first, std::move(entry.tile), entry.owner});
+  pending->push_back(
+      {it->first, std::move(entry.tile), entry.owner, std::move(entry.blob)});
   shard.l1.erase(it);
 }
 
@@ -128,7 +129,8 @@ void SharedTileCache::CollectQuotaOverflow(Shard& shard, std::uint64_t session,
 
 SharedTileCache::AdmitOutcome SharedTileCache::AdmitToL1(
     Shard& shard, const tiles::TileKey& key, tiles::TilePtr tile,
-    const CacheAccess& access, bool bypass_filter, bool count_priority,
+    std::shared_ptr<const std::string> blob, const CacheAccess& access,
+    bool bypass_filter, bool count_priority,
     std::vector<PendingDemotion>* pending) {
   const std::size_t bytes = tile->SizeBytes();
   if (bytes > shard_l1_bytes_) {
@@ -207,7 +209,8 @@ SharedTileCache::AdmitOutcome SharedTileCache::AdmitToL1(
   shard.l1_bytes += bytes;
   auto order_it = shard.l1_order.insert(shard.l1_order.end(), key);
   auto [entry_it, _] = shard.l1.emplace(
-      key, L1Entry{std::move(tile), bytes, access.session_id, order_it, {}});
+      key, L1Entry{std::move(tile), std::move(blob), bytes, access.session_id,
+                   order_it, {}});
   ChargeOwner(shard, key, entry_it->second);
   // Pop victims after inserting: the new entry is at the back of the order
   // and within budget (and quota) by itself, so it is never its own victim.
@@ -226,20 +229,24 @@ void SharedTileCache::FinishDemotions(Shard& shard,
     return;
   }
   // Compress outside the lock — encoding is the expensive part of a
-  // demotion and must not block concurrent lookups on the shard.
-  std::vector<std::string> blobs;
-  blobs.reserve(pending.size());
-  std::uint64_t t0 = NowNs();
-  for (const auto& demotion : pending) {
-    blobs.push_back(codec_.Encode(*demotion.tile));
+  // demotion and must not block concurrent lookups on the shard. A victim
+  // promoted from L2 lands its retained blob instead: re-encoding its
+  // decoded payload would give the same bytes (see the idempotence note in
+  // storage/tile_codec.h).
+  std::uint64_t encode_ns = 0;
+  for (auto& demotion : pending) {
+    if (demotion.blob != nullptr) continue;
+    const std::uint64_t t0 = NowNs();
+    std::string blob = codec_.Encode(*demotion.tile);
+    encode_ns += NowNs() - t0;
+    demotion.blob = std::make_shared<const std::string>(std::move(blob));
   }
-  std::uint64_t encode_ns = NowNs() - t0;
 
   std::lock_guard<std::mutex> lock(shard.mu);
   shard.counters.encode_ns += encode_ns;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    const tiles::TileKey& key = pending[i].key;
-    std::string& blob = blobs[i];
+  for (auto& demotion : pending) {
+    const tiles::TileKey& key = demotion.key;
+    const std::size_t blob_bytes = demotion.blob->size();
     if (shard.l1.count(key) > 0 || shard.l2.count(key) > 0) {
       // Re-fetched while in limbo: the newer copy owns the residency (and
       // was counted as a fresh insertion), so this stale copy's departure
@@ -247,20 +254,19 @@ void SharedTileCache::FinishDemotions(Shard& shard,
       ++shard.counters.evictions;
       continue;
     }
-    if (blob.size() > shard_l2_bytes_) {
+    if (blob_bytes > shard_l2_bytes_) {
       // Oversized even alone: the tier cannot hold it.
       ++shard.counters.evictions;
       continue;
     }
-    while (shard.l2_bytes + blob.size() > shard_l2_bytes_ &&
+    while (shard.l2_bytes + blob_bytes > shard_l2_bytes_ &&
            !shard.l2.empty()) {
       EvictFromL2(shard);
     }
-    shard.l2_bytes += blob.size();
+    shard.l2_bytes += blob_bytes;
     auto order_it = shard.l2_order.insert(shard.l2_order.end(), key);
-    shard.l2.emplace(
-        key, L2Entry{std::make_shared<const std::string>(std::move(blob)),
-                     pending[i].owner, order_it});
+    shard.l2.emplace(key, L2Entry{std::move(demotion.blob), demotion.owner,
+                                  order_it});
     ++shard.counters.demotions;
   }
 }
@@ -344,7 +350,8 @@ tiles::TilePtr SharedTileCache::Lookup(const tiles::TileKey& key,
       // already counted) makes this a fresh admission by the accessor.
       CacheAccess promo{was_in_l2 ? l2_owner : access.session_id,
                         access.confidence};
-      auto outcome = AdmitToL1(shard, key, tile, promo, /*bypass_filter=*/true,
+      auto outcome = AdmitToL1(shard, key, tile, std::move(blob), promo,
+                               /*bypass_filter=*/true,
                                /*count_priority=*/false, &pending);
       if (outcome == AdmitOutcome::kAdmitted) {
         if (!was_in_l2) {
@@ -383,6 +390,7 @@ void SharedTileCache::Insert(const tiles::TileKey& key, tiles::TilePtr tile,
       std::size_t bytes = tile->SizeBytes();
       L1Entry& entry = it->second;
       shard.l1_bytes = shard.l1_bytes - entry.bytes + bytes;
+      entry.blob = nullptr;  // it encodes the payload being replaced
       if (entry.owner == access.session_id) {
         // Same owner: adjust the byte charge in place. The owner-queue
         // node keeps its position, staying in lockstep with l1_order —
@@ -418,7 +426,7 @@ void SharedTileCache::Insert(const tiles::TileKey& key, tiles::TilePtr tile,
       shard.l2_bytes -= l2_it->second.blob->size();
       shard.l2_order.erase(l2_it->second.order_it);
       shard.l2.erase(l2_it);
-      if (AdmitToL1(shard, key, std::move(tile), access,
+      if (AdmitToL1(shard, key, std::move(tile), /*blob=*/nullptr, access,
                     /*bypass_filter=*/true, /*count_priority=*/false,
                     &pending) != AdmitOutcome::kAdmitted) {
         ++shard.counters.evictions;
@@ -435,7 +443,7 @@ void SharedTileCache::Insert(const tiles::TileKey& key, tiles::TilePtr tile,
           options_.admission.policy != AdmissionPolicyKind::kAdmitAll;
       ++shard.counters.admission_attempts;
       auto outcome =
-          AdmitToL1(shard, key, std::move(tile), access,
+          AdmitToL1(shard, key, std::move(tile), /*blob=*/nullptr, access,
                     /*bypass_filter=*/priority, count_priority, &pending);
       if (outcome == AdmitOutcome::kAdmitted) {
         ++shard.counters.insertions;

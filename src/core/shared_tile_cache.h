@@ -13,6 +13,12 @@
 //    bounded by `l2_bytes`. An L2 hit decodes the blob, promotes the tile
 //    back into L1, and costs decode time instead of a DBMS query. Only when
 //    the L2 budget is exhausted is a tile truly evicted from the process.
+//  * Each tile is encoded once across the tiers: a promoted tile keeps the
+//    blob it was decoded from, and its next demotion lands that blob again
+//    instead of re-encoding the same immutable payload (a refresh drops
+//    it). The retained blob is not charged to `l1_bytes`; it is bounded by
+//    the L1 population times the encoded tile size (a fraction of the
+//    decoded size under the default delta-varint codec).
 //
 // Multi-tenant fairness (this PR): admission into L1 is policy-gated. A
 // TinyLFU frequency sketch (see core/admission.h) rejects cold tiles that
@@ -249,6 +255,10 @@ class SharedTileCache {
  private:
   struct L1Entry {
     tiles::TilePtr tile;
+    /// The L2 blob this entry was decoded from, landed again by its next
+    /// demotion instead of a re-encode; null for payloads that did not
+    /// come out of L2. Not charged to l1_bytes.
+    std::shared_ptr<const std::string> blob;
     std::size_t bytes = 0;
     /// Session whose fetch pays for this entry (0 = unowned).
     std::uint64_t owner = 0;
@@ -318,6 +328,8 @@ class SharedTileCache {
     tiles::TileKey key;
     tiles::TilePtr tile;
     std::uint64_t owner = 0;
+    /// The entry's retained L2 blob, if any: landed as-is, not re-encoded.
+    std::shared_ptr<const std::string> blob;
   };
 
   /// Why AdmitToL1 refused a tile (callers decide which counters move).
@@ -350,6 +362,8 @@ class SharedTileCache {
   /// Offers a decoded tile to a shard's L1: runs the admission filter
   /// (unless `bypass_filter` — priority admissions and L2 promotions skip
   /// it), then inserts, then pops quota and budget victims into `pending`.
+  /// `blob` is the L2 blob a promotion decoded `tile` from (null otherwise);
+  /// the entry keeps it for its next demotion.
   /// With `count_priority` (confidence-bypassed new-tile offers under a
   /// real filter), priority_admits is bumped iff the filter would actually
   /// have judged foreign victims. Caller holds shard.mu and has ensured
@@ -357,8 +371,10 @@ class SharedTileCache {
   /// FinishDemotions after releasing the lock and move its own
   /// attempt/insertion/reject counters per the outcome.
   AdmitOutcome AdmitToL1(Shard& shard, const tiles::TileKey& key,
-                         tiles::TilePtr tile, const CacheAccess& access,
-                         bool bypass_filter, bool count_priority,
+                         tiles::TilePtr tile,
+                         std::shared_ptr<const std::string> blob,
+                         const CacheAccess& access, bool bypass_filter,
+                         bool count_priority,
                          std::vector<PendingDemotion>* pending);
 
   /// Pops L1 victims into `pending` while the shard is over its L1 budget.
@@ -370,10 +386,10 @@ class SharedTileCache {
   void CollectQuotaOverflow(Shard& shard, std::uint64_t session,
                             std::vector<PendingDemotion>* pending);
 
-  /// Compresses pending victims (outside any lock), then re-acquires
-  /// shard.mu to land them in L2 or count their eviction. A victim whose
-  /// key re-entered the cache in the meantime is dropped as an eviction
-  /// (the newer copy owns the residency).
+  /// Compresses pending victims that carry no retained blob (outside any
+  /// lock), then re-acquires shard.mu to land them in L2 or count their
+  /// eviction. A victim whose key re-entered the cache in the meantime is
+  /// dropped as an eviction (the newer copy owns the residency).
   void FinishDemotions(Shard& shard, std::vector<PendingDemotion> pending);
 
   /// Drops one L2 victim. Caller holds shard.mu; shard.l2 must be nonempty.

@@ -12,19 +12,36 @@ namespace fc::storage {
 namespace {
 
 constexpr char kMagic[4] = {'F', 'C', 'T', 'L'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
 constexpr char kRefinementMagic[4] = {'F', 'C', 'T', 'R'};
-constexpr std::uint32_t kRefinementVersion = 1;
+constexpr std::uint32_t kRefinementVersion = 2;
 
-// FNV-1a 64-bit over the blob contents; appended as the trailing 8 bytes.
-std::uint64_t Fnv1a(const char* data, std::size_t len) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
+// Checksum constants: odd multipliers (multiplication by an odd number is
+// a bijection mod 2^64) and distinct lane seeds.
+constexpr std::uint64_t kLaneMul = 0x9E3779B97F4A7C15ull;
+constexpr std::uint64_t kFoldMul = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+constexpr std::uint64_t kLaneSeeds[4] = {
+    0x243F6A8885A308D3ull, 0x13198A2E03707344ull, 0xA4093822299F31D0ull,
+    0x082EFA98EC4E6C89ull};
+
+std::uint64_t Load64(const unsigned char* p) {
+  std::uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+std::uint64_t Rotl(std::uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+std::uint64_t LaneStep(std::uint64_t lane, std::uint64_t word) {
+  return Rotl((lane ^ word) * kLaneMul, 31);
+}
+
+std::uint64_t Fold(std::uint64_t acc, std::uint64_t input) {
+  acc = (acc ^ input) * kFoldMul;
+  return acc ^ (acc >> 29);
 }
 
 void AppendRaw(std::string* out, const void* data, std::size_t len) {
@@ -34,14 +51,6 @@ void AppendRaw(std::string* out, const void* data, std::size_t len) {
 template <typename T>
 void AppendValue(std::string* out, T value) {
   AppendRaw(out, &value, sizeof(T));
-}
-
-void AppendVarint(std::string* out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
 }
 
 std::uint64_t ZigZag(std::int64_t v) {
@@ -66,16 +75,50 @@ std::int64_t WrappingAdd(std::int64_t prev, std::int64_t delta) {
                                    static_cast<std::uint64_t>(delta));
 }
 
+// Most bytes one LEB128-encoded u64 takes.
+constexpr std::size_t kMaxVarintBytes = 10;
+
+char* WriteVarint(char* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>((v & 0x7f) | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
+// Appends a u64 byte-length prefix and `count` varints, the i-th being
+// next(i). Writes through a pointer into room for the worst case, then
+// trims to the bytes written.
+template <typename Next>
+void AppendVarints(std::string* out, std::size_t count, Next&& next) {
+  const std::size_t at = out->size();
+  out->resize(at + sizeof(std::uint64_t) + count * kMaxVarintBytes);
+  char* const begin = out->data() + at + sizeof(std::uint64_t);
+  char* p = begin;
+  for (std::size_t i = 0; i < count; ++i) p = WriteVarint(p, next(i));
+  const auto len = static_cast<std::uint64_t>(p - begin);
+  std::memcpy(out->data() + at, &len, sizeof(len));
+  out->resize(at + sizeof(len) + len);
+}
+
 class Reader {
  public:
   explicit Reader(const std::string& bytes) : bytes_(bytes) {}
 
-  Status ReadRaw(void* dst, std::size_t len) {
-    if (pos_ + len > bytes_.size()) {
-      return Status::Corruption("tile blob truncated");
-    }
-    std::memcpy(dst, bytes_.data() + pos_, len);
+  /// The next `len` bytes, consumed; null (nothing consumed) when fewer
+  /// remain.
+  const char* Consume(std::size_t len) {
+    if (len > bytes_.size() - pos_) return nullptr;
+    const char* p = bytes_.data() + pos_;
     pos_ += len;
+    return p;
+  }
+
+  Status ReadRaw(void* dst, std::size_t len) {
+    const char* src = Consume(len);
+    if (src == nullptr) return Status::Corruption("tile blob truncated");
+    std::memcpy(dst, src, len);
     return Status::OK();
   }
 
@@ -94,38 +137,56 @@ class Reader {
     return s;
   }
 
-  Result<std::uint64_t> ReadVarint() {
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (pos_ >= bytes_.size()) return Status::Corruption("varint truncated");
-      auto byte = static_cast<unsigned char>(bytes_[pos_++]);
-      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) return v;
+  /// Reads `count` LEB128 varints, handing the i-th to sink(i, value).
+  /// Stops at the first truncated or overlong (over 10-byte) varint.
+  template <typename Sink>
+  Status ReadVarints(std::size_t count, Sink&& sink) {
+    const auto* const base =
+        reinterpret_cast<const unsigned char*>(bytes_.data());
+    const unsigned char* const end = base + bytes_.size();
+    const unsigned char* p = base + pos_;
+    for (std::size_t i = 0; i < count; ++i) {
+      std::uint64_t v = 0;
+      for (int shift = 0;; shift += 7) {
+        if (shift >= 64) return Status::Corruption("varint overlong");
+        if (p == end) return Status::Corruption("varint truncated");
+        const unsigned byte = *p++;
+        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+        if (byte < 0x80) break;
+      }
+      sink(i, v);
     }
-    return Status::Corruption("varint overlong");
+    pos_ = static_cast<std::size_t>(p - base);
+    return Status::OK();
   }
 
   std::size_t pos() const { return pos_; }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
 
  private:
   const std::string& bytes_;
   std::size_t pos_ = 0;
 };
 
-// Quantized value domain for kDeltaVarint: clamp before llround so extreme
-// values cannot overflow the int64 lattice (infinities saturate). NaN has
-// no lattice point and would be undefined behavior in llround; it maps to
-// 0 — kDeltaVarint is for finite rasters, use a lossless encoding when
-// non-finite cells must survive.
+// Quantized value domain for kDeltaVarint: clamp before rounding so
+// extreme values cannot overflow the int64 lattice (infinities saturate).
+// NaN has no lattice point and would be undefined behavior to convert; it
+// maps to 0 — kDeltaVarint is for finite rasters, use a lossless encoding
+// when non-finite cells must survive.
 constexpr double kMaxQuantum = 4.611686018427387904e18;  // 2^62
 
+// std::llround(clamp(v / step)) without the libcall: the conversion
+// truncates, q - t is exact (t is q's integer part, |q| <= 2^62), and the
+// two comparisons round half away from zero. The rounding must stay
+// branchless — cell data is noisy enough to mispredict a branch on the
+// fraction; the NaN and clamp tests are all but never taken.
 std::int64_t Quantize(double v, double step) {
-  if (std::isnan(v)) return 0;
   double q = v / step;
-  if (q > kMaxQuantum) q = kMaxQuantum;
-  if (q < -kMaxQuantum) q = -kMaxQuantum;
-  return std::llround(q);
+  q = q == q ? q : 0.0;
+  q = q > kMaxQuantum ? kMaxQuantum : q;
+  q = q < -kMaxQuantum ? -kMaxQuantum : q;
+  const auto t = static_cast<std::int64_t>(q);
+  const double frac = q - static_cast<double>(t);
+  return t + (frac >= 0.5) - (frac <= -0.5);
 }
 
 // Refinement residuals live in the IEEE-754 bit domain: close doubles have
@@ -170,24 +231,28 @@ void EncodePayload(const tiles::Tile& tile, const TileCodecOptions& options,
       return;
     case TileEncoding::kFloat32:
       for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
-        for (double v : tile.AttrData(a)) {
-          AppendValue(out, ToFloatSaturating(v));
+        const auto& data = tile.AttrData(a);
+        const std::size_t at = out->size();
+        out->resize(at + data.size() * sizeof(float));
+        char* p = out->data() + at;
+        for (double v : data) {
+          const float f = ToFloatSaturating(v);
+          std::memcpy(p, &f, sizeof(f));
+          p += sizeof(f);
         }
       }
       return;
     case TileEncoding::kDeltaVarint:
       for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
-        std::string attr;
-        attr.reserve(tile.AttrData(a).size() * 2);
+        const double* cells = tile.AttrData(a).data();
+        const double step = options.quant_step;
         std::int64_t prev = 0;
-        for (double v : tile.AttrData(a)) {
-          std::int64_t q = Quantize(v, options.quant_step);
-          AppendVarint(&attr,
-                       ZigZag(static_cast<std::int64_t>(WrappingDelta(q, prev))));
+        AppendVarints(out, tile.AttrData(a).size(), [&](std::size_t i) {
+          const std::int64_t q = Quantize(cells[i], step);
+          const auto delta = static_cast<std::int64_t>(WrappingDelta(q, prev));
           prev = q;
-        }
-        AppendValue(out, static_cast<std::uint64_t>(attr.size()));
-        out->append(attr);
+          return ZigZag(delta);
+        });
       }
       return;
   }
@@ -205,8 +270,13 @@ Status DecodePayload(Reader* reader, TileEncoding encoding, double quant_step,
       return Status::OK();
     case TileEncoding::kFloat32:
       for (std::size_t a = 0; a < tile->num_attrs(); ++a) {
-        for (auto& v : tile->MutableAttrData(a)) {
-          FC_ASSIGN_OR_RETURN(auto f, reader->ReadValue<float>());
+        auto& buf = tile->MutableAttrData(a);
+        const char* src = reader->Consume(buf.size() * sizeof(float));
+        if (src == nullptr) return Status::Corruption("tile blob truncated");
+        for (auto& v : buf) {
+          float f;
+          std::memcpy(&f, src, sizeof(f));
+          src += sizeof(f);
           v = static_cast<double>(f);
         }
       }
@@ -218,12 +288,14 @@ Status DecodePayload(Reader* reader, TileEncoding encoding, double quant_step,
       for (std::size_t a = 0; a < tile->num_attrs(); ++a) {
         FC_ASSIGN_OR_RETURN(auto attr_len, reader->ReadValue<std::uint64_t>());
         std::size_t attr_end = reader->pos() + attr_len;
+        auto& buf = tile->MutableAttrData(a);
+        double* cells = buf.data();
         std::int64_t prev = 0;
-        for (auto& v : tile->MutableAttrData(a)) {
-          FC_ASSIGN_OR_RETURN(auto z, reader->ReadVarint());
-          prev = WrappingAdd(prev, UnZigZag(z));
-          v = static_cast<double>(prev) * quant_step;
-        }
+        FC_RETURN_IF_ERROR(reader->ReadVarints(
+            buf.size(), [&](std::size_t i, std::uint64_t z) {
+              prev = WrappingAdd(prev, UnZigZag(z));
+              cells[i] = static_cast<double>(prev) * quant_step;
+            }));
         if (reader->pos() != attr_end) {
           return Status::Corruption("delta-varint attribute length mismatch");
         }
@@ -261,8 +333,9 @@ bool PayloadFits(std::int64_t width, std::int64_t height, std::uint32_t nattr,
 }
 
 /// Reads and validates magic | version | encoding. Checked before the
-/// checksum so a format-v1 blob fails as "unsupported tile version", not as
-/// phantom corruption.
+/// checksum so a blob of an older format version (whose checksum differs
+/// or is absent) fails as "unsupported tile version", not as phantom
+/// corruption.
 Result<TileEncoding> ReadHeaderPrefix(Reader* reader) {
   char magic[4];
   FC_RETURN_IF_ERROR(reader->ReadRaw(magic, sizeof(magic)));
@@ -280,7 +353,57 @@ Result<TileEncoding> ReadHeaderPrefix(Reader* reader) {
   return static_cast<TileEncoding>(encoding);
 }
 
+/// Bytes of `tile`'s blob before its payload: the fixed header, the
+/// attribute names and, for kDeltaVarint, the quantization step.
+std::size_t HeaderBytes(const tiles::Tile& tile, TileEncoding encoding) {
+  std::size_t bytes = sizeof(kMagic) + sizeof(std::uint32_t) +
+                      sizeof(std::uint8_t) + sizeof(std::int32_t) +
+                      4 * sizeof(std::int64_t) + sizeof(std::uint32_t);
+  for (const auto& name : tile.attr_names()) {
+    bytes += sizeof(std::uint32_t) + name.size();
+  }
+  if (encoding == TileEncoding::kDeltaVarint) bytes += sizeof(double);
+  return bytes;
+}
+
+/// Most payload bytes `tile` can take in `encoding` (exact for the
+/// fixed-width encodings).
+std::size_t MaxPayloadBytes(const tiles::Tile& tile, TileEncoding encoding) {
+  const std::size_t cells = tile.SizeBytes() / sizeof(double);
+  switch (encoding) {
+    case TileEncoding::kRawF64:
+      return cells * sizeof(double);
+    case TileEncoding::kFloat32:
+      return cells * sizeof(float);
+    case TileEncoding::kDeltaVarint:
+      return tile.num_attrs() * sizeof(std::uint64_t) + cells * kMaxVarintBytes;
+  }
+  return 0;
+}
+
 }  // namespace
+
+std::uint64_t BlobChecksum(const void* data, std::size_t len) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t lanes[4] = {kLaneSeeds[0], kLaneSeeds[1], kLaneSeeds[2],
+                            kLaneSeeds[3]};
+  std::size_t i = 0;
+  for (; i + 32 <= len; i += 32) {
+    lanes[0] = LaneStep(lanes[0], Load64(p + i));
+    lanes[1] = LaneStep(lanes[1], Load64(p + i + 8));
+    lanes[2] = LaneStep(lanes[2], Load64(p + i + 16));
+    lanes[3] = LaneStep(lanes[3], Load64(p + i + 24));
+  }
+  for (int lane = 0; i + 8 <= len; i += 8, ++lane) {
+    lanes[lane] = LaneStep(lanes[lane], Load64(p + i));
+  }
+  std::uint64_t tail = kFnvOffset;
+  for (; i < len; ++i) tail = (tail ^ p[i]) * kFnvPrime;
+  std::uint64_t sum = 0;
+  for (std::uint64_t lane : lanes) sum = Fold(sum, lane);
+  sum = Fold(sum, tail);
+  return Fold(sum, static_cast<std::uint64_t>(len));
+}
 
 const char* TileEncodingName(TileEncoding encoding) {
   switch (encoding) {
@@ -303,7 +426,8 @@ TileCodec::TileCodec(TileCodecOptions options) : options_(options) {
 
 std::string TileCodec::Encode(const tiles::Tile& tile) const {
   std::string out;
-  out.reserve(64 + tile.SizeBytes());
+  out.reserve(HeaderBytes(tile, options_.encoding) +
+              MaxPayloadBytes(tile, options_.encoding) + sizeof(std::uint64_t));
   AppendRaw(&out, kMagic, sizeof(kMagic));
   AppendValue(&out, kVersion);
   AppendValue(&out, static_cast<std::uint8_t>(options_.encoding));
@@ -321,7 +445,10 @@ std::string TileCodec::Encode(const tiles::Tile& tile) const {
     AppendValue(&out, options_.quant_step);
   }
   EncodePayload(tile, options_, &out);
-  AppendValue(&out, Fnv1a(out.data(), out.size()));
+  AppendValue(&out, BlobChecksum(out.data(), out.size()));
+  // kDeltaVarint reserved room for its worst case: hand back an exact-size
+  // blob, so a cache tier charged blob.size() holds no hidden slack.
+  out.shrink_to_fit();
   return out;
 }
 
@@ -343,7 +470,7 @@ Result<tiles::Tile> TileCodec::Decode(const std::string& bytes) {
   std::size_t body_len = bytes.size() - sizeof(std::uint64_t);
   std::uint64_t stored;
   std::memcpy(&stored, bytes.data() + body_len, sizeof(stored));
-  if (stored != Fnv1a(bytes.data(), body_len)) {
+  if (stored != BlobChecksum(bytes.data(), body_len)) {
     return Status::Corruption("tile checksum mismatch");
   }
 
@@ -409,7 +536,10 @@ ProgressiveEncoding TileCodec::EncodeProgressive(const tiles::Tile& tile) const 
                "progressive encode cannot fail to re-decode its own blobs");
 
   std::string ref;
-  ref.reserve(64 + tile.SizeBytes());
+  // The refinement header is under 64 bytes; its payload is shaped like a
+  // kDeltaVarint payload.
+  ref.reserve(64 + MaxPayloadBytes(tile, TileEncoding::kDeltaVarint) +
+              sizeof(std::uint64_t));
   AppendRaw(&ref, kRefinementMagic, sizeof(kRefinementMagic));
   AppendValue(&ref, kRefinementVersion);
   AppendValue(&ref, static_cast<std::uint8_t>(options_.encoding));
@@ -424,18 +554,16 @@ ProgressiveEncoding TileCodec::EncodeProgressive(const tiles::Tile& tile) const 
   AppendValue(&ref, tile.height());
   AppendValue(&ref, static_cast<std::uint32_t>(tile.num_attrs()));
   for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
-    const auto& final_data = final_tile->AttrData(a);
-    const auto& base_data = base_tile->AttrData(a);
-    std::string attr;
-    attr.reserve(final_data.size() * 2);
-    for (std::size_t i = 0; i < final_data.size(); ++i) {
-      std::uint64_t residual = BitsOf(final_data[i]) - BitsOf(base_data[i]);
-      AppendVarint(&attr, ZigZag(static_cast<std::int64_t>(residual)));
-    }
-    AppendValue(&ref, static_cast<std::uint64_t>(attr.size()));
-    ref.append(attr);
+    const double* final_cells = final_tile->AttrData(a).data();
+    const double* base_cells = base_tile->AttrData(a).data();
+    AppendVarints(&ref, final_tile->AttrData(a).size(), [&](std::size_t i) {
+      const std::uint64_t residual =
+          BitsOf(final_cells[i]) - BitsOf(base_cells[i]);
+      return ZigZag(static_cast<std::int64_t>(residual));
+    });
   }
-  AppendValue(&ref, Fnv1a(ref.data(), ref.size()));
+  AppendValue(&ref, BlobChecksum(ref.data(), ref.size()));
+  ref.shrink_to_fit();
   out.refinement = std::move(ref);
   return out;
 }
@@ -469,7 +597,7 @@ Result<tiles::Tile> TileCodec::Reassemble(const std::string& base,
   std::size_t body_len = refinement.size() - sizeof(std::uint64_t);
   std::uint64_t stored;
   std::memcpy(&stored, refinement.data() + body_len, sizeof(stored));
-  if (stored != Fnv1a(refinement.data(), body_len)) {
+  if (stored != BlobChecksum(refinement.data(), body_len)) {
     return Status::Corruption("refinement checksum mismatch");
   }
 
@@ -496,11 +624,12 @@ Result<tiles::Tile> TileCodec::Reassemble(const std::string& base,
   for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
     FC_ASSIGN_OR_RETURN(auto attr_len, reader.ReadValue<std::uint64_t>());
     std::size_t attr_end = reader.pos() + attr_len;
-    for (auto& v : tile.MutableAttrData(a)) {
-      FC_ASSIGN_OR_RETURN(auto z, reader.ReadVarint());
-      v = DoubleFromBits(BitsOf(v) +
-                         static_cast<std::uint64_t>(UnZigZag(z)));
-    }
+    double* cells = tile.MutableAttrData(a).data();
+    FC_RETURN_IF_ERROR(reader.ReadVarints(
+        tile.MutableAttrData(a).size(), [&](std::size_t i, std::uint64_t z) {
+          cells[i] = DoubleFromBits(BitsOf(cells[i]) +
+                                    static_cast<std::uint64_t>(UnZigZag(z)));
+        }));
     if (reader.pos() != attr_end) {
       return Status::Corruption("refinement attribute length mismatch");
     }

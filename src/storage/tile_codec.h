@@ -1,13 +1,17 @@
 // Tile serialization with pluggable payload encodings — the on-disk format
 // of DiskTileStore and the compression engine of the shared cache's L2 tier.
 //
-// Layout (little-endian), format version 2:
+// Layout (little-endian), format version 3:
 //   magic "FCTL" | u32 version | u8 encoding
 //   | i32 level | i64 x | i64 y | i64 width | i64 height | u32 nattr
 //   | nattr x { u32 name_len | bytes }
 //   | [f64 quant_step when encoding == kDeltaVarint]
 //   | per-attribute payload (encoding-specific, see below)
-//   | u64 FNV-1a checksum over every preceding byte
+//   | u64 BlobChecksum over every preceding byte
+//
+// Version 3 changed only the checksum (version 2 used byte-serial FNV-1a).
+// Blobs of any other version fail as "unsupported tile version", so a
+// DiskTileStore directory written by an older build must be re-packed.
 //
 // Payloads:
 //   kRawF64      — width*height f64 per attribute; lossless, bit-exact.
@@ -21,22 +25,35 @@
 //                  within the representable range |v| <= 2^62 * quant_step.
 //                  Outside it values saturate to the lattice bounds, NaN
 //                  decodes as 0, and infinities saturate — use a lossless
-//                  encoding when any of that matters.
+//                  encoding when any of that matters. Quantization rounds
+//                  half away from zero (std::llround's rule) and is
+//                  idempotent on decoded values: when every cell lies
+//                  within 2^50 quanta of zero and decodes to 0 or a normal
+//                  double, Encode(Decode(blob)) == blob byte for byte.
 //
 // The encoding is recorded in the blob, so Decode is self-describing: any
 // TileCodec (or the free DecodeTile) can read any encoding's output.
 //
+// Checksum (BlobChecksum): four independent 64-bit lanes each take every
+// fourth little-endian word (lane <- rotl((lane ^ word) * odd, 31)); the
+// 0-7 tail bytes go through a byte-serial FNV-1a accumulator; then the
+// lanes, the tail and the length fold into one sum through an odd multiply
+// and an xorshift. Each step is a bijection of its lane for a fixed input
+// and injective in the input for a fixed lane, so ANY single changed byte
+// changes the sum, and the lanes run in parallel at memory speed where a
+// single byte-serial multiply chain cannot.
+//
 // Progressive two-chunk encoding (EncodeProgressive / Reassemble): a tile
 // splits into
-//   * a BASE chunk — a standard format-v2 blob at coarse fidelity
+//   * a BASE chunk — a standard format-v3 blob at coarse fidelity
 //     (kDeltaVarint quantized to progressive_base_step), self-describing
 //     and checksummed like any blob, so Decode(base) alone yields a usable
 //     lossy tile (absolute error <= progressive_base_step / 2); and
-//   * a REFINEMENT chunk — format "FCTR" v1: header (final encoding id,
+//   * a REFINEMENT chunk — format "FCTR" v2: header (final encoding id,
 //     the base chunk's checksum binding the pair, tile key/dims/attr
 //     count), then per-attribute zigzag/varint residuals in the IEEE-754
 //     bit domain (bits(final) - bits(base), wrapping), then its own
-//     trailing FNV-1a checksum.
+//     trailing BlobChecksum (v1 differed only in using FNV-1a).
 // Reassemble(base, refinement) reproduces the configured encoding's
 // decoded payload BIT-IDENTICALLY (bit-domain residuals are exact even for
 // NaN payload bits), so streaming the pair is observationally equivalent
@@ -48,6 +65,7 @@
 #ifndef FORECACHE_STORAGE_TILE_CODEC_H_
 #define FORECACHE_STORAGE_TILE_CODEC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -133,6 +151,10 @@ class TileCodec {
  private:
   TileCodecOptions options_;
 };
+
+/// The trailing checksum of tile blobs and refinement chunks over
+/// `data[0, len)` (see the format notes above).
+std::uint64_t BlobChecksum(const void* data, std::size_t len);
 
 /// Back-compatible helpers: lossless raw-f64 encode, self-describing decode.
 std::string EncodeTile(const tiles::Tile& tile);

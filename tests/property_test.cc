@@ -10,13 +10,16 @@
 #include <set>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "core/move.h"
 #include "core/prediction_engine.h"
 #include "core/recommender.h"
 #include "core/roi_tracker.h"
+#include "core/shared_tile_cache.h"
 #include "core/tile_cache.h"
 #include "markov/ngram_model.h"
+#include "sim/modis_dataset.h"
 #include "storage/tile_codec.h"
 #include "tiles/tile_key.h"
 #include "vision/histogram.h"
@@ -360,16 +363,19 @@ TEST(CodecPropertyTest, OppositeSaturationDeltasRoundTrip) {
   EXPECT_DOUBLE_EQ(back->At(0, 2, 0), bound);
 }
 
-// An old format-v1 blob (no trailing checksum) must fail with a version
-// error, not a misleading checksum-corruption message.
+// An old blob — format v1 (no trailing checksum) or v2 (FNV-1a checksum)
+// — must fail with a version error, not a misleading checksum-corruption
+// message.
 TEST(CodecPropertyTest, UnsupportedVersionReportedBeforeChecksum) {
   auto tile = tiles::Tile::Make({0, 0, 0}, 2, 2, {"v"});
   ASSERT_TRUE(tile.ok());
-  auto bytes = storage::EncodeTile(*tile);
-  bytes[4] = 1;  // u32 version field follows the 4-byte magic
-  auto status = storage::TileCodec::Decode(bytes).status();
-  EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("version"), std::string::npos) << status;
+  for (char version : {1, 2}) {
+    auto bytes = storage::EncodeTile(*tile);
+    bytes[4] = version;  // u32 version field follows the 4-byte magic
+    auto status = storage::TileCodec::Decode(bytes).status();
+    EXPECT_TRUE(status.IsCorruption());
+    EXPECT_NE(status.message().find("version"), std::string::npos) << status;
+  }
 }
 
 // A tile cannot exist with zero attributes, so no encoding needs to
@@ -380,7 +386,7 @@ TEST(CodecPropertyTest, ZeroAttributeTilesAreUnrepresentable) {
 }
 
 // Any single flipped byte anywhere in the blob must be rejected: structural
-// checks catch header damage, the FNV-1a checksum catches payload damage.
+// checks catch header damage, the checksum catches payload damage.
 TEST(CodecPropertyTest, ChecksumRejectsFlippedBytesEverywhere) {
   Rng rng(93);
   for (auto encoding :
@@ -411,25 +417,28 @@ TEST(CodecPropertyTest, ChecksumRejectsFlippedBytesEverywhere) {
 
 namespace {
 
-// Offsets of the header dimension fields in a format-v2 blob: magic (4) |
+// Offsets of the header dimension fields in a format-v3 blob: magic (4) |
 // version (4) | encoding (1) | level (4) | x (8) | y (8) | width | height.
 constexpr std::size_t kWidthOffset = 29;
 constexpr std::size_t kHeightOffset = kWidthOffset + sizeof(std::int64_t);
 
-// `blob` with its header dimensions replaced and the trailing FNV-1a
-// checksum recomputed, so only the dimension checks can reject it.
+// `chunk` (a blob or refinement of at least 8 bytes) with its trailing
+// checksum recomputed over whatever now precedes it, so damage elsewhere
+// reaches the parser instead of stopping at the checksum.
+std::string Resealed(std::string chunk) {
+  const std::size_t body_len = chunk.size() - sizeof(std::uint64_t);
+  const std::uint64_t sum = storage::BlobChecksum(chunk.data(), body_len);
+  std::memcpy(&chunk[body_len], &sum, sizeof(sum));
+  return chunk;
+}
+
+// `blob` with its header dimensions replaced and the checksum recomputed,
+// so only the dimension checks can reject it.
 std::string WithDims(std::string blob, std::int64_t width,
                      std::int64_t height) {
   std::memcpy(&blob[kWidthOffset], &width, sizeof(width));
   std::memcpy(&blob[kHeightOffset], &height, sizeof(height));
-  const std::size_t body_len = blob.size() - sizeof(std::uint64_t);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < body_len; ++i) {
-    h ^= static_cast<unsigned char>(blob[i]);
-    h *= 1099511628211ull;
-  }
-  std::memcpy(&blob[body_len], &h, sizeof(h));
-  return blob;
+  return Resealed(std::move(blob));
 }
 
 }  // namespace
@@ -693,6 +702,393 @@ TEST(CodecPropertyTest, ProgressiveDegenerateTileShipsOneChunk) {
   auto rebuilt = storage::TileCodec::Reassemble(pair.base, pair.refinement);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ(rebuilt->At(0, 0, 0), 3.25);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: the decoders take any byte string and answer with a tile
+// or a Corruption status, never a crash or undefined behavior (the
+// ASan+UBSan job runs these). Damage is resealed with a fresh checksum
+// where noted, so it reaches the parser instead of stopping at the sum.
+
+namespace {
+
+const storage::TileEncoding kAllEncodings[] = {
+    storage::TileEncoding::kRawF64, storage::TileEncoding::kFloat32,
+    storage::TileEncoding::kDeltaVarint};
+
+tiles::Tile RandomTile(Rng& rng, const tiles::TileKey& key, std::int64_t width,
+                       std::int64_t height, double stddev) {
+  auto tile = tiles::Tile::Make(key, width, height, {"a", "b"});
+  FC_CHECK(tile.ok());
+  for (std::size_t a = 0; a < 2; ++a) {
+    for (auto& v : tile->MutableAttrData(a)) v = rng.Gaussian(0, stddev);
+  }
+  return std::move(tile).value();
+}
+
+std::string RandomBytes(Rng& rng, std::size_t len) {
+  std::string bytes(len, '\0');
+  for (auto& c : bytes) c = static_cast<char>(rng.NextUint32());
+  return bytes;
+}
+
+// A tile, or Corruption — no other status.
+::testing::AssertionResult TileOrCorruption(const Result<tiles::Tile>& result) {
+  if (result.ok() || result.status().IsCorruption()) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << result.status();
+}
+
+}  // namespace
+
+// Random byte strings, bare or behind a valid prefix (tile magic, version
+// and encoding, or refinement magic and version) and resealed, are
+// Corruption both as blobs and as refinements of an intact base.
+TEST(CodecPropertyTest, RandomBytesAreCorruption) {
+  Rng rng(109);
+  storage::TileCodec codec({storage::TileEncoding::kDeltaVarint, 1e-4, 0.5});
+  const auto pair = codec.EncodeProgressive(RandomTile(rng, {2, 1, 3}, 6, 5, 3));
+  ASSERT_FALSE(pair.refinement.empty());
+  for (int trial = 0; trial < 600; ++trial) {
+    // Non-empty: an empty refinement is the valid "base is exact" marker.
+    std::string bytes =
+        RandomBytes(rng, static_cast<std::size_t>(rng.UniformInt(1, 300)));
+    if (trial % 3 != 0 && bytes.size() >= 17) {
+      const bool tile_blob = trial % 3 == 1;
+      const std::uint32_t version = tile_blob ? 3 : 2;
+      std::memcpy(&bytes[0], tile_blob ? "FCTL" : "FCTR", 4);
+      std::memcpy(&bytes[4], &version, sizeof(version));
+      bytes[8] = static_cast<char>(rng.UniformInt(0, 2));
+      bytes = Resealed(std::move(bytes));
+    }
+    EXPECT_TRUE(storage::TileCodec::Decode(bytes).status().IsCorruption())
+        << "trial " << trial;
+    EXPECT_TRUE(storage::TileCodec::Reassemble(bytes, pair.refinement)
+                    .status()
+                    .IsCorruption())
+        << "trial " << trial;
+    EXPECT_TRUE(storage::TileCodec::Reassemble(pair.base, bytes)
+                    .status()
+                    .IsCorruption())
+        << "trial " << trial;
+  }
+}
+
+// Every strict prefix of a blob or refinement is Corruption, as cut and
+// with the checksum recomputed over the shortened body.
+TEST(CodecPropertyTest, TruncatedChunksAreCorruption) {
+  Rng rng(113);
+  for (auto encoding : kAllEncodings) {
+    storage::TileCodec codec({encoding, 1e-4, 0.5});
+    const tiles::Tile tile = RandomTile(rng, {3, 2, 1}, 5, 4, 3);
+    const std::string blob = codec.Encode(tile);
+    const auto pair = codec.EncodeProgressive(tile);
+    ASSERT_FALSE(pair.refinement.empty());
+    for (std::size_t len = 0; len < blob.size(); ++len) {
+      const std::string cut = blob.substr(0, len);
+      EXPECT_TRUE(storage::TileCodec::Decode(cut).status().IsCorruption())
+          << storage::TileEncodingName(encoding) << " length " << len;
+      if (len >= sizeof(std::uint64_t)) {
+        EXPECT_TRUE(
+            storage::TileCodec::Decode(Resealed(cut)).status().IsCorruption())
+            << storage::TileEncodingName(encoding) << " resealed " << len;
+      }
+    }
+    const std::string& ref = pair.refinement;
+    for (std::size_t len = 0; len < ref.size(); ++len) {
+      const std::string cut = ref.substr(0, len);
+      // An empty refinement means "the base is exact", so it is accepted.
+      if (len > 0) {
+        EXPECT_TRUE(storage::TileCodec::Reassemble(pair.base, cut)
+                        .status()
+                        .IsCorruption())
+            << storage::TileEncodingName(encoding) << " refinement " << len;
+      }
+      if (len >= sizeof(std::uint64_t)) {
+        EXPECT_TRUE(storage::TileCodec::Reassemble(pair.base, Resealed(cut))
+                        .status()
+                        .IsCorruption())
+            << storage::TileEncodingName(encoding) << " resealed refinement "
+            << len;
+      }
+    }
+  }
+}
+
+// Flipped bits behind a recomputed checksum reach the parser, whose answer
+// is a tile (a flip inside a cell value can decode to a different,
+// well-formed tile) or Corruption, nothing else. A resealed base changes
+// its checksum, so the refinement bound to the original base must then be
+// rejected.
+TEST(CodecPropertyTest, ResealedBitFlipsDecodeOrAreCorruption) {
+  Rng rng(127);
+  for (auto encoding : kAllEncodings) {
+    storage::TileCodec codec({encoding, 1e-4, 0.5});
+    const tiles::Tile tile = RandomTile(rng, {4, 5, 6}, 6, 5, 3);
+    const std::string blob = codec.Encode(tile);
+    const auto pair = codec.EncodeProgressive(tile);
+    ASSERT_FALSE(pair.refinement.empty());
+    auto flipped = [&rng](std::string chunk) {
+      const int flips = rng.UniformInt(1, 4);
+      const auto body =
+          static_cast<std::uint32_t>(chunk.size() - sizeof(std::uint64_t));
+      for (int f = 0; f < flips; ++f) {
+        const std::size_t pos = rng.UniformUint32(body);
+        chunk[pos] = static_cast<char>(chunk[pos] ^ (1 << rng.UniformInt(0, 7)));
+      }
+      return Resealed(std::move(chunk));
+    };
+    int rejected = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+      const auto decoded = storage::TileCodec::Decode(flipped(blob));
+      EXPECT_TRUE(TileOrCorruption(decoded))
+          << storage::TileEncodingName(encoding) << " trial " << trial;
+      if (!decoded.ok()) ++rejected;
+
+      const std::string base = flipped(pair.base);
+      if (base != pair.base) {
+        EXPECT_TRUE(storage::TileCodec::Reassemble(base, pair.refinement)
+                        .status()
+                        .IsCorruption())
+            << storage::TileEncodingName(encoding) << " base trial " << trial;
+      }
+      EXPECT_TRUE(TileOrCorruption(storage::TileCodec::Reassemble(
+          pair.base, flipped(pair.refinement))))
+          << storage::TileEncodingName(encoding) << " refinement trial "
+          << trial;
+    }
+    // The header and the length fields are hit often enough that the
+    // parser, not just the checksum, does the rejecting.
+    EXPECT_GT(rejected, 0) << storage::TileEncodingName(encoding);
+  }
+}
+
+// The delta-varint parse errors keep their messages: an over-10-byte
+// varint is "overlong", a varint cut off by the end of the blob is
+// "truncated", and an attribute whose varints end before or after its
+// length prefix says is a "length mismatch".
+TEST(CodecPropertyTest, DeltaVarintParseErrorsKeepTheirMessages) {
+  storage::TileCodec codec({storage::TileEncoding::kDeltaVarint, 1.0});
+  // One 1x1 cell: the payload is a u64 length prefix and one varint.
+  auto with_payload = [&codec](std::int64_t x, const std::string& payload) {
+    auto tile = tiles::Tile::Make({0, x, 0}, 1, 1, {"v"});
+    FC_CHECK(tile.ok());
+    const std::string blob = codec.Encode(*tile);
+    const std::size_t header = blob.size() - sizeof(std::uint64_t) -
+                               sizeof(std::uint64_t) - 1;
+    return Resealed(blob.substr(0, header) + payload +
+                    std::string(sizeof(std::uint64_t), '\0'));
+  };
+  auto prefixed = [](std::uint64_t len, const std::string& varints) {
+    std::string out(sizeof(len), '\0');
+    std::memcpy(out.data(), &len, sizeof(len));
+    return out + varints;
+  };
+  auto message = [](const std::string& blob) {
+    return std::string(storage::TileCodec::Decode(blob).status().message());
+  };
+  ASSERT_TRUE(storage::TileCodec::Decode(with_payload(0, prefixed(1, "\x05")))
+                  .ok());
+
+  EXPECT_NE(message(with_payload(
+                0, prefixed(11, std::string(10, '\x80') + '\x00'))).find(
+                "varint overlong"),
+            std::string::npos);
+  EXPECT_NE(message(with_payload(0, prefixed(2, "\x05")))
+                .find("delta-varint attribute length mismatch"),
+            std::string::npos);
+  EXPECT_NE(message(with_payload(0, prefixed(0, "\x05")))
+                .find("delta-varint attribute length mismatch"),
+            std::string::npos);
+  // A varint still running at the end of the blob reads into the trailing
+  // checksum; pick a key whose checksum bytes all carry the continuation
+  // bit, so the varint runs off the end.
+  bool found = false;
+  for (std::int64_t x = 0; x < 100000 && !found; ++x) {
+    const std::string blob = with_payload(x, prefixed(1, "\x80"));
+    const std::string sum = blob.substr(blob.size() - sizeof(std::uint64_t));
+    if (std::all_of(sum.begin(), sum.end(),
+                    [](char c) { return (c & 0x80) != 0; })) {
+      found = true;
+      EXPECT_NE(message(blob).find("varint truncated"), std::string::npos)
+          << message(blob);
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
+// ---------------------------------------------------------------------------
+// Bit identity of the codec kernels: Encode's bytes before the checksum
+// equal a reference encoder's that uses std::llround and writes varints a
+// byte at a time, for random tiles and for the quantizer's edge cells.
+
+namespace {
+
+template <typename T>
+void RefAppend(std::string* out, T value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+void RefAppendVarint(std::string* out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
+}
+
+std::int64_t RefQuantize(double v, double step) {
+  if (std::isnan(v)) return 0;
+  const double q = std::clamp(v / step, -0x1p62, 0x1p62);
+  return std::llround(q);
+}
+
+float RefToFloat(double v) {
+  constexpr double kMax = std::numeric_limits<float>::max();
+  if (std::isfinite(v) && std::abs(v) > kMax) return v > 0 ? kMax : -kMax;
+  return static_cast<float>(v);
+}
+
+// Format-v3 blob body (everything before the checksum).
+std::string ReferenceBody(const tiles::Tile& tile,
+                          const storage::TileCodecOptions& options) {
+  std::string out = "FCTL";
+  RefAppend(&out, std::uint32_t{3});
+  RefAppend(&out, static_cast<std::uint8_t>(options.encoding));
+  RefAppend(&out, static_cast<std::int32_t>(tile.key().level));
+  RefAppend(&out, tile.key().x);
+  RefAppend(&out, tile.key().y);
+  RefAppend(&out, tile.width());
+  RefAppend(&out, tile.height());
+  RefAppend(&out, static_cast<std::uint32_t>(tile.num_attrs()));
+  for (const auto& name : tile.attr_names()) {
+    RefAppend(&out, static_cast<std::uint32_t>(name.size()));
+    out += name;
+  }
+  if (options.encoding == storage::TileEncoding::kDeltaVarint) {
+    RefAppend(&out, options.quant_step);
+  }
+  for (std::size_t a = 0; a < tile.num_attrs(); ++a) {
+    switch (options.encoding) {
+      case storage::TileEncoding::kRawF64:
+        for (double v : tile.AttrData(a)) RefAppend(&out, v);
+        break;
+      case storage::TileEncoding::kFloat32:
+        for (double v : tile.AttrData(a)) RefAppend(&out, RefToFloat(v));
+        break;
+      case storage::TileEncoding::kDeltaVarint: {
+        std::string attr;
+        std::int64_t prev = 0;
+        for (double v : tile.AttrData(a)) {
+          const std::int64_t q = RefQuantize(v, options.quant_step);
+          const auto delta = static_cast<std::int64_t>(
+              static_cast<std::uint64_t>(q) - static_cast<std::uint64_t>(prev));
+          RefAppendVarint(&attr, (static_cast<std::uint64_t>(delta) << 1) ^
+                                     static_cast<std::uint64_t>(delta >> 63));
+          prev = q;
+        }
+        RefAppend(&out, static_cast<std::uint64_t>(attr.size()));
+        out += attr;
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+void ExpectMatchesReference(const tiles::Tile& tile,
+                            const storage::TileCodecOptions& options) {
+  const std::string blob = storage::TileCodec(options).Encode(tile);
+  ASSERT_GE(blob.size(), sizeof(std::uint64_t));
+  const std::string body = blob.substr(0, blob.size() - sizeof(std::uint64_t));
+  EXPECT_EQ(body, ReferenceBody(tile, options))
+      << storage::TileEncodingName(options.encoding) << " step "
+      << options.quant_step;
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, blob.data() + body.size(), sizeof(stored));
+  EXPECT_EQ(stored, storage::BlobChecksum(body.data(), body.size()));
+}
+
+}  // namespace
+
+TEST(CodecPropertyTest, EncodeMatchesReferenceOnRandomTiles) {
+  Rng rng(131);
+  for (auto encoding : kAllEncodings) {
+    for (double step : {1e-4, 0.25, 3.0}) {
+      for (int trial = 0; trial < 12; ++trial) {
+        const auto w = static_cast<std::int64_t>(rng.UniformInt(1, 40));
+        const auto h = static_cast<std::int64_t>(rng.UniformInt(1, 40));
+        const double stddev = std::pow(10.0, rng.UniformInt(-3, 9));
+        ExpectMatchesReference(
+            RandomTile(rng, {rng.UniformInt(0, 8), trial, 7}, w, h, stddev),
+            {encoding, step});
+      }
+    }
+  }
+}
+
+TEST(CodecPropertyTest, EncodeMatchesReferenceOnQuantizerEdgeCells) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double dbl_max = std::numeric_limits<double>::max();
+  for (double step : {1e-4, 0.25, 1.0, 3.0}) {
+    std::vector<double> cells = {0.0,    -0.0,     nan,      -nan,   inf,
+                                 -inf,   denorm,   -denorm,  1e-310, -1e-310,
+                                 dbl_max, -dbl_max, std::numeric_limits<double>::min()};
+    for (double k : {0.0, 1.0, 2.0, 7.0, 1000.0, 0x1p51}) {
+      for (double sign : {1.0, -1.0}) {
+        cells.push_back(sign * (k + 0.5) * step);  // ties
+        cells.push_back(sign * (k + 0.49999999999999994) * step);
+        cells.push_back(sign * std::nextafter(k + 0.5, 0.0) * step);
+      }
+    }
+    for (double sign : {1.0, -1.0}) {
+      for (double q : {0x1p62, std::nextafter(0x1p62, 0.0), 0x1p63, 0x1p70,
+                       0x1p52 + 1.0, 0x1p53}) {
+        cells.push_back(sign * q * step);  // lattice bounds and beyond
+      }
+    }
+    auto tile = tiles::Tile::Make({1, 2, 3},
+                                  static_cast<std::int64_t>(cells.size()), 1,
+                                  {"edge"});
+    ASSERT_TRUE(tile.ok());
+    std::copy(cells.begin(), cells.end(), tile->MutableAttrData(0).begin());
+    for (auto encoding : kAllEncodings) {
+      ExpectMatchesReference(*tile, {encoding, step});
+    }
+  }
+}
+
+// The shared cache reuses a promoted tile's L2 blob on its next demotion
+// instead of re-encoding the decoded tile. That is invisible only if
+// re-encoding would give the same bytes: Encode(Decode(Encode(t))) ==
+// Encode(t) under the L2 codec, on every tile of the serving benchmark's
+// pyramid (512 x 512 study terrain, 5 levels, one composite day).
+TEST(CodecPropertyTest, L2CodecReencodesDecodedStudyTilesByteIdentically) {
+  const storage::TileCodecOptions options = core::SharedTileCacheOptions{}.codec;
+  ASSERT_EQ(options.encoding, storage::TileEncoding::kDeltaVarint);
+  sim::ModisDatasetOptions dataset_options = sim::DefaultStudyDataset();
+  dataset_options.terrain.width = 512;
+  dataset_options.terrain.height = 512;
+  dataset_options.num_levels = 5;
+  dataset_options.composite_days = 1;
+  auto dataset = sim::ModisDatasetBuilder(dataset_options).Build();
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  const auto& pyramid = *dataset->pyramid;
+  const storage::TileCodec codec(options);
+  std::size_t checked = 0;
+  for (const auto& key : pyramid.spec().AllKeys()) {
+    auto tile = pyramid.GetTile(key);
+    ASSERT_TRUE(tile.ok());
+    const std::string blob = codec.Encode(**tile);
+    auto decoded = storage::TileCodec::Decode(blob);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    ASSERT_EQ(codec.Encode(*decoded), blob) << key.ToString();
+    ++checked;
+  }
+  EXPECT_EQ(checked, 341u);
 }
 
 // ---------------------------------------------------------------------------

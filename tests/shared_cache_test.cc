@@ -1,13 +1,17 @@
 // Unit tests for the process-wide SharedTileCache: sharding, byte budgets,
-// LRU/FIFO eviction goldens, the compressed L2 tier, cache-through fetch,
-// and stat/byte conservation.
+// LRU/FIFO eviction goldens, the compressed L2 tier and its encode-once
+// blob reuse, cache-through fetch, and stat/byte conservation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/shared_tile_cache.h"
 #include "storage/tile_codec.h"
 #include "storage/tile_store.h"
@@ -441,6 +445,184 @@ TEST(SharedTileCacheTest, GetOrFetchServesL2WithoutStoreFetch) {
   ASSERT_TRUE(cache.GetOrFetch(a, &store).ok());  // warm hit: decode, no DBMS
   EXPECT_EQ(store.fetch_count(), fetches);
   EXPECT_EQ(cache.Stats().l2_hits, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Encode once across the tiers: a promoted tile keeps the blob it was
+// decoded from, and its next demotion lands that blob instead of encoding
+// the same payload again.
+
+/// One decoded tile of L1 over a roomy L2, under the default (delta-varint)
+/// L2 codec.
+SharedTileCacheOptions OneTileOverL2() {
+  SharedTileCacheOptions options;
+  options.l1_bytes = kTileBytes;
+  options.l2_bytes = 1 << 20;
+  options.num_shards = 1;
+  return options;
+}
+
+TEST(SharedTileCacheTest, ReDemotionReusesThePromotedBlob) {
+  auto pyramid = SmallPyramid();
+  storage::MemoryTileStore store(pyramid);
+  SharedTileCache cache(OneTileOverL2());
+  const tiles::TileKey a{1, 0, 0}, b{1, 1, 0};
+
+  cache.Insert(a, FetchTile(&store, a));
+  cache.Insert(b, FetchTile(&store, b));  // a demoted: encoded
+  const auto first = cache.Stats();
+  ASSERT_EQ(first.demotions, 1u);
+  EXPECT_GT(first.encode_ns, 0u);
+
+  auto a_promoted = cache.Lookup(a);  // a keeps its blob; b demoted: encoded
+  ASSERT_NE(a_promoted, nullptr);
+  const auto second = cache.Stats();
+  ASSERT_EQ(second.demotions, 2u);
+  EXPECT_GT(second.encode_ns, first.encode_ns);
+
+  // b promoted, a demoted again: a's retained blob lands unchanged.
+  ASSERT_NE(cache.Lookup(b), nullptr);
+  const auto third = cache.Stats();
+  EXPECT_EQ(third.demotions, 3u);
+  EXPECT_EQ(third.encode_ns, second.encode_ns);
+  EXPECT_EQ(third.l2_bytes_resident, first.l2_bytes_resident);
+
+  // The reused blob decodes to the payload the first promotion served, and
+  // b's re-demotion reuses its blob too.
+  auto a_again = cache.Lookup(a);
+  ASSERT_NE(a_again, nullptr);
+  EXPECT_EQ(a_again->AttrData(0), a_promoted->AttrData(0));
+  EXPECT_EQ(cache.Stats().encode_ns, second.encode_ns);
+}
+
+TEST(SharedTileCacheTest, RefreshDropsTheRetainedBlob) {
+  auto pyramid = SmallPyramid();
+  storage::MemoryTileStore store(pyramid);
+  SharedTileCache cache(OneTileOverL2());
+  const tiles::TileKey a{1, 0, 0}, b{1, 1, 0};
+  auto original = FetchTile(&store, a);
+
+  cache.Insert(a, original);
+  cache.Insert(b, FetchTile(&store, b));  // a -> L2
+  ASSERT_NE(cache.Lookup(a), nullptr);    // a promoted with its blob, b -> L2
+
+  // Refresh a in place with new values: the retained blob encodes the old
+  // payload and must not survive the refresh.
+  auto fresh = tiles::Tile::Make(a, 8, 8, {"v"});
+  ASSERT_TRUE(fresh.ok());
+  for (std::size_t i = 0; i < kTileBytes / sizeof(double); ++i) {
+    fresh->MutableAttrData(0)[i] = original->AttrData(0)[i] + 1.0;
+  }
+  auto fresh_tile = std::make_shared<const tiles::Tile>(std::move(*fresh));
+  cache.Insert(a, fresh_tile);
+  const auto before = cache.Stats();
+
+  ASSERT_NE(cache.Lookup(b), nullptr);  // a demoted: the new payload encoded
+  EXPECT_GT(cache.Stats().encode_ns, before.encode_ns);
+
+  auto back = cache.Lookup(a);  // decodes the new values
+  ASSERT_NE(back, nullptr);
+  for (std::size_t i = 0; i < kTileBytes / sizeof(double); ++i) {
+    EXPECT_NEAR(back->AttrData(0)[i], fresh_tile->AttrData(0)[i],
+                1e-4 / 2 + 1e-12);
+  }
+}
+
+// The failure branch of a warm hit: a blob that does not decode (here a
+// tile with more attributes than the codec accepts) is dropped from L2 and
+// counted as an eviction plus a miss; the caller falls back to the store.
+TEST(SharedTileCacheTest, UndecodableL2BlobIsEvictedAndMissed) {
+  auto pyramid = SmallPyramid();
+  storage::MemoryTileStore store(pyramid);
+  std::vector<std::string> names;
+  for (int i = 0; i < 1025; ++i) names.push_back("a" + std::to_string(i));
+  const tiles::TileKey wide_key{2, 0, 0}, b{1, 1, 0};
+  auto wide = tiles::Tile::Make(wide_key, 1, 1, names);
+  ASSERT_TRUE(wide.ok());
+  const std::size_t wide_bytes = wide->SizeBytes();
+  SharedTileCacheOptions options;
+  options.l1_bytes = wide_bytes;
+  options.l2_bytes = 1 << 20;
+  options.num_shards = 1;
+  options.codec = {storage::TileEncoding::kRawF64};
+  SharedTileCache cache(options);
+
+  cache.Insert(wide_key, std::make_shared<const tiles::Tile>(std::move(*wide)));
+  cache.Insert(b, FetchTile(&store, b));  // the wide tile -> L2
+  ASSERT_EQ(cache.Stats().demotions, 1u);
+  ASSERT_EQ(cache.l2_size(), 1u);
+
+  EXPECT_EQ(cache.Lookup(wide_key), nullptr);
+  auto stats = cache.Stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.l2_hits, 0u);
+  EXPECT_EQ(stats.l2_bytes_resident, 0u);
+  EXPECT_FALSE(cache.Contains(wide_key));
+  EXPECT_EQ(stats.insertions - stats.evictions,
+            static_cast<std::uint64_t>(cache.size()));
+}
+
+// Lookups and inserts from several threads over a tiny L1 + L2, so retained
+// blobs are promoted on one thread and re-demoted on another (run under
+// TSan in CI). Every served tile is the right one within the codec bound,
+// and the books balance once the threads are done.
+TEST(SharedTileCacheTest, ConcurrentLookupInsertChurnKeepsBooksAndPayloads) {
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 600;
+  auto pyramid = SmallPyramid();
+  storage::MemoryTileStore store(pyramid);
+  const auto keys = pyramid->spec().AllKeys();
+  std::vector<tiles::TilePtr> sources;
+  for (const auto& key : keys) sources.push_back(FetchTile(&store, key));
+
+  SharedTileCacheOptions options;
+  options.l1_bytes = 4 * kTileBytes;
+  options.l2_bytes = 2 * kTileBytes;  // a handful of delta-varint blobs
+  options.num_shards = 2;
+  SharedTileCache cache(options);
+
+  std::atomic<std::uint64_t> lookups{0};
+  std::atomic<int> bad_payloads{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(/*seed=*/700 + t);
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        // A hot set of 16 keys, so most lookups hit one tier or the other.
+        const std::size_t i = rng.UniformUint32(16);
+        if (rng.UniformUint32(4) == 0) {
+          cache.Insert(keys[i], sources[i]);
+          continue;
+        }
+        lookups.fetch_add(1);
+        auto tile = cache.Lookup(keys[i]);
+        if (tile == nullptr) {
+          cache.Insert(keys[i], sources[i]);
+          continue;
+        }
+        bool ok = tile->key() == keys[i] &&
+                  tile->AttrData(0).size() == sources[i]->AttrData(0).size();
+        for (std::size_t c = 0; ok && c < tile->AttrData(0).size(); ++c) {
+          ok = std::abs(tile->AttrData(0)[c] - sources[i]->AttrData(0)[c]) <=
+               1e-4 / 2 + 1e-12;
+        }
+        if (!ok) bad_payloads.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(bad_payloads.load(), 0);
+  auto stats = cache.Stats();
+  EXPECT_GT(stats.l2_hits, 0u);
+  EXPECT_GT(stats.demotions, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, lookups.load());
+  EXPECT_EQ(stats.hits, stats.l1_hits + stats.l2_hits);
+  EXPECT_EQ(stats.admission_attempts,
+            stats.insertions + stats.admission_rejects);
+  EXPECT_EQ(stats.insertions - stats.evictions,
+            static_cast<std::uint64_t>(cache.size()));
 }
 
 }  // namespace
